@@ -1,36 +1,24 @@
-//! Parallel-engine scaling: wall-clock for the sharded sweep, the
-//! concurrent cache build, and batch proving at 1/2/4/8 workers.
+//! Parallel-engine scaling: wall-clock for a cold fault sweep at 1/2
+//! workers and for batch proving at 1/2/4/8 workers.
 //!
 //! The 1-worker point is the sequential reference path (the pool is
 //! bypassed entirely), so each curve shows both the parallel speedup on
 //! multi-core machines and the sharding overhead where there is nothing
 //! to gain. Results are identical at every worker count by construction
-//! (tests/e15_parallel.rs); only the wall-clock may differ.
+//! (tests/e15_parallel.rs, tests/e16_sweep.rs); only the wall-clock may
+//! differ.
 
 use atl_core::parallel::Pool;
 use atl_core::prover::{BatchProver, Prover};
-use atl_core::semantics::{GoodRuns, Semantics};
+use atl_core::spec::parse_spec;
+use atl_core::sweep::{fault_sweep, SweepConfig};
 use atl_lang::{Formula, Key, Message, Nonce};
-use atl_model::{random_system, GenConfig, System};
+use atl_model::{ExecOptions, ExpectPolicy, SweepGrid};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
 const WORKERS: &[usize] = &[1, 2, 4, 8];
-
-fn test_system(n_runs: usize) -> System {
-    random_system(&GenConfig::default(), n_runs, 23)
-}
-
-fn belief_query() -> Formula {
-    Formula::believes(
-        "A",
-        Formula::or(
-            Formula::has("A", Key::new("Kas")),
-            Formula::sees("A", Message::nonce(Nonce::new("Na"))),
-        ),
-    )
-}
 
 /// `n` parallel Figure 1 sessions with disjoint names (prover_scaling's
 /// fact generator).
@@ -60,17 +48,35 @@ fn at_sessions(n: usize) -> Vec<Formula> {
     facts
 }
 
-/// Cold-evaluator sweep of a belief query over every point of a 16-run
-/// system: cache build plus one full pass, the shape `sweep_on` shards.
+/// A cold belief-survival sweep of Needham–Schroeder whose 24 plans
+/// leave 16 distinct runs, at the widths a sweep can use on two cores.
+/// What runs in parallel is plan execution, the annotation passes, the
+/// audit, and the three goals' validity sweeps (one evaluator per
+/// goal); the `G^j` construction runs on one thread.
 fn bench_parallel_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("parallel_sweep_16_runs");
-    let sys = test_system(16);
-    let goods = GoodRuns::all_runs(&sys);
-    let query = belief_query();
-    for &jobs in WORKERS {
+    let spec = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../specs/needham_schroeder.atl"
+    ))
+    .expect("spec file present");
+    let (at, _) = parse_spec(&spec).expect("spec parses");
+    let config = SweepConfig {
+        grid: SweepGrid::new()
+            .seeds(0..6)
+            .drop_steps([0.0, 0.5])
+            .replay_steps([0.0, 1.0]),
+        options: ExecOptions::default(),
+        expect_policy: ExpectPolicy::resend_after(6, 2),
+    };
+    assert_eq!(
+        fault_sweep(&at, &config, &Pool::sequential()).distinct_runs,
+        16
+    );
+    for jobs in [1, 2] {
         let pool = Pool::new(jobs);
         g.bench_with_input(BenchmarkId::from_parameter(jobs), &pool, |b, pool| {
-            b.iter(|| black_box(Semantics::sweep_on(&sys, &goods, &query, pool).expect("eval ok")))
+            b.iter(|| black_box(fault_sweep(&at, &config, pool).distinct_runs))
         });
     }
     g.finish();

@@ -250,35 +250,15 @@ pub fn construct_budgeted(
     // Term-level results depend only on the system, so one cache serves
     // every stage's evaluator despite their differing good-run vectors.
     let cache = Rc::new(RefCell::new(EvalCache::default()));
-    'stages: for j in 1..=assumptions.max_depth() {
-        let sem = Semantics::new_shared(system, current.clone(), Rc::clone(&cache));
-        let mut next = current.clone();
-        let mut stage = BTreeMap::new();
-        for p in assumptions.principals() {
-            let mut keep = current.get(p).clone();
-            for f in assumptions.of(p) {
-                if f.belief_depth() != j {
-                    continue;
-                }
-                let Formula::Believes(_, body) = f else {
-                    unreachable!("checked shape");
-                };
-                let mut surviving = BTreeSet::new();
-                for &ri in &keep {
-                    if !meter.charge(report.stages.len()) {
-                        // Out of budget mid-stage: the partial stage is
-                        // discarded and the last completed vector stands.
-                        break 'stages;
-                    }
-                    if sem.eval(Point::new(ri, 0), body)? {
-                        surviving.insert(ri);
-                    }
-                }
-                keep = surviving;
-            }
-            stage.insert(p.clone(), keep.len());
-            next.set(p.clone(), keep);
-        }
+    for j in 1..=assumptions.max_depth() {
+        let completed = report.stages.len();
+        let Some((next, stage)) =
+            refine_stage(system, assumptions, j, &current, &cache, &meter, completed)?
+        else {
+            // Out of budget mid-stage: the partial stage is discarded and
+            // the last completed vector stands.
+            break;
+        };
         report.stages.push(stage);
         current = next;
     }
@@ -295,8 +275,54 @@ pub fn construct_budgeted(
     Ok((current, report, outcome))
 }
 
-/// As [`construct_with_report`], with each stage's run-filtering sharded
-/// over `pool` — see [`construct_budgeted_on`].
+/// One stage's output: the refined vector and each principal's count.
+type Refined = (GoodRuns, BTreeMap<Principal, usize>);
+
+/// Stage `j` of the construction: each principal's runs in `current`
+/// that satisfy, relative to `current`, the body of every depth-`j`
+/// assumption of that principal, with the stage's per-principal counts.
+/// Every evaluation charges `meter` one step while `completed` stages
+/// stand; `None` means the budget ran out mid-stage.
+fn refine_stage(
+    system: &System,
+    assumptions: &InitialAssumptions,
+    j: usize,
+    current: &GoodRuns,
+    cache: &Rc<RefCell<EvalCache>>,
+    meter: &BudgetMeter,
+    completed: usize,
+) -> Result<Option<Refined>, GoodRunsError> {
+    let sem = Semantics::new_shared(system, current.clone(), Rc::clone(cache));
+    let mut next = current.clone();
+    let mut stage = BTreeMap::new();
+    for p in assumptions.principals() {
+        let mut keep = current.get(p).clone();
+        for f in assumptions.of(p) {
+            if f.belief_depth() != j {
+                continue;
+            }
+            let Formula::Believes(_, body) = f else {
+                unreachable!("checked shape");
+            };
+            let mut surviving = BTreeSet::new();
+            for &ri in &keep {
+                if !meter.charge(completed) {
+                    return Ok(None);
+                }
+                if sem.eval(Point::new(ri, 0), body)? {
+                    surviving.insert(ri);
+                }
+            }
+            keep = surviving;
+        }
+        stage.insert(p.clone(), keep.len());
+        next.set(p.clone(), keep);
+    }
+    Ok(Some((next, stage)))
+}
+
+/// As [`construct_with_report`]. `pool` is not used: see
+/// [`construct_budgeted_on`].
 ///
 /// # Errors
 ///
@@ -309,25 +335,13 @@ pub fn construct_on(
     construct_budgeted_on(system, assumptions, Budget::unlimited(), pool).map(|(g, r, _)| (g, r))
 }
 
-/// As [`construct_budgeted`], with each `G^j` stage's run-filtering
-/// sharded across `pool`'s workers. The results are **bit-identical** to
-/// the sequential construction:
-///
-/// - candidate runs are dealt to workers by index and the surviving set
-///   is merged back in index order, so each stage's `G^j` vector is the
-///   same `BTreeSet` the sequential filter builds;
-/// - the budget is claimed *deterministically before* the fan-out: the
-///   meter is charged once per candidate, in index order, and only the
-///   prefix those charges cover — exactly the prefix the sequential
-///   path would evaluate before latching — is evaluated at all. A
-///   partial stage is discarded in both paths, so step counts, stage
-///   counts, and the [`Saturation`] outcome agree;
-/// - an evaluation error is reported for the earliest failing candidate
-///   in index order, as the sequential loop would.
-///
-/// Workers share one concurrently-prewarmed [`EvalCache`]
-/// (system-level facts only) and keep per-worker evaluators, so no
-/// locks sit on the evaluation hot path.
+/// As [`construct_budgeted`]; `pool` is not used. Sharding a stage's
+/// candidate runs across workers lost 3–5× on two real cores: each
+/// worker needs its own evaluator over its own copy of a prewarmed
+/// cache, and one stage's evaluations are too cheap to pay for that.
+/// The fault sweep shards across goals instead
+/// ([`survival_report`](crate::sweep::survival_report)). The parameter
+/// stays so callers keep one signature whatever the strategy.
 ///
 /// # Errors
 ///
@@ -336,86 +350,9 @@ pub fn construct_budgeted_on(
     system: &System,
     assumptions: &InitialAssumptions,
     budget: Budget,
-    pool: &Pool,
+    _pool: &Pool,
 ) -> Result<(GoodRuns, ConstructionReport, Saturation), GoodRunsError> {
-    if pool.jobs() == 1 {
-        return construct_budgeted(system, assumptions, budget);
-    }
-    assumptions.check()?;
-    let meter = BudgetMeter::start(budget);
-    let mut current = GoodRuns::all_runs(system);
-    let all: BTreeSet<usize> = (0..system.len()).collect();
-    for p in assumptions.principals() {
-        current.set(p.clone(), all.clone());
-    }
-    let mut report = ConstructionReport::default();
-    let warmed = EvalCache::prewarm_on(system, pool);
-    'stages: for j in 1..=assumptions.max_depth() {
-        let mut next = current.clone();
-        let mut stage = BTreeMap::new();
-        for p in assumptions.principals() {
-            let mut keep = current.get(p).clone();
-            for f in assumptions.of(p) {
-                if f.belief_depth() != j {
-                    continue;
-                }
-                let Formula::Believes(_, body) = f else {
-                    unreachable!("checked shape");
-                };
-                // Claim the budget up front, in candidate order: the
-                // prefix these charges cover is exactly the prefix the
-                // sequential loop would evaluate before its meter
-                // latched, so steps and outcomes agree.
-                let order: Vec<usize> = keep.iter().copied().collect();
-                let mut budgeted = order.len();
-                for i in 0..order.len() {
-                    if !meter.charge(report.stages.len()) {
-                        budgeted = i;
-                        break;
-                    }
-                }
-                let verdicts = pool.map_init(
-                    &order[..budgeted],
-                    || {
-                        Semantics::new_shared(
-                            system,
-                            current.clone(),
-                            Rc::new(RefCell::new(warmed.clone())),
-                        )
-                    },
-                    |sem, _, &ri| sem.eval(Point::new(ri, 0), body),
-                );
-                let mut surviving = BTreeSet::new();
-                for (i, v) in verdicts.into_iter().enumerate() {
-                    if v? {
-                        surviving.insert(order[i]);
-                    }
-                }
-                if budgeted < order.len() {
-                    // Out of budget mid-stage: the partial stage is
-                    // discarded and the last completed vector stands,
-                    // exactly as in the sequential path.
-                    break 'stages;
-                }
-                keep = surviving;
-            }
-            stage.insert(p.clone(), keep.len());
-            next.set(p.clone(), keep);
-        }
-        report.stages.push(stage);
-        current = next;
-    }
-    let outcome = if meter.exhausted() {
-        Saturation::BudgetExhausted {
-            facts: report.stages.len(),
-            steps: meter.steps(),
-        }
-    } else {
-        Saturation::Complete {
-            new_facts: report.stages.len(),
-        }
-    };
-    Ok((current, report, outcome))
+    construct_budgeted(system, assumptions, budget)
 }
 
 /// A per-stage record of a *completed* Section 7 construction, enough to
@@ -493,7 +430,7 @@ pub fn construct_checkpointed_on(
     pool: &Pool,
 ) -> Result<(GoodRuns, ConstructionReport, ConstructionCheckpoint), GoodRunsError> {
     let warmed = EvalCache::prewarm_on(system, pool);
-    construct_checkpointed_with(system, assumptions, pool, &warmed)
+    construct_checkpointed_with(system, assumptions, &warmed)
 }
 
 /// [`construct_checkpointed_on`] over a caller-prewarmed cache, so serve
@@ -501,14 +438,12 @@ pub fn construct_checkpointed_on(
 pub(crate) fn construct_checkpointed_with(
     system: &System,
     assumptions: &InitialAssumptions,
-    pool: &Pool,
     warmed: &EvalCache,
 ) -> Result<(GoodRuns, ConstructionReport, ConstructionCheckpoint), GoodRunsError> {
     resume_construct_with(
         system,
         assumptions,
         &ConstructionCheckpoint::default(),
-        pool,
         warmed,
     )
     .map(|(g, report, ckpt, _)| (g, report, ckpt))
@@ -533,7 +468,7 @@ pub fn resume_construct_on(
     pool: &Pool,
 ) -> Result<(GoodRuns, ConstructionReport, ConstructionCheckpoint, usize), GoodRunsError> {
     let warmed = EvalCache::prewarm_on(system, pool);
-    resume_construct_with(system, assumptions, prior, pool, &warmed)
+    resume_construct_with(system, assumptions, prior, &warmed)
 }
 
 /// [`resume_construct_on`] over a caller-prewarmed cache.
@@ -541,7 +476,6 @@ pub(crate) fn resume_construct_with(
     system: &System,
     assumptions: &InitialAssumptions,
     prior: &ConstructionCheckpoint,
-    pool: &Pool,
     warmed: &EvalCache,
 ) -> Result<(GoodRuns, ConstructionReport, ConstructionCheckpoint, usize), GoodRunsError> {
     assumptions.check()?;
@@ -575,44 +509,22 @@ pub(crate) fn resume_construct_with(
         );
     }
     let mut current = checkpoint.vectors[reused].clone();
-    // The replayed suffix is the unbudgeted construction loop, stage
-    // fan-out and merge order included, so the result is bit-identical
-    // to a cold construction at any pool width.
+    // The replayed suffix is the cold construction's stage filter, so the
+    // result is bit-identical to a cold construction.
+    let cache = Rc::new(RefCell::new(warmed.clone()));
+    let unmetered = BudgetMeter::start(Budget::unlimited());
     for j in (reused + 1)..=assumptions.max_depth() {
-        let mut next = current.clone();
-        let mut stage = BTreeMap::new();
-        for p in assumptions.principals() {
-            let mut keep = current.get(p).clone();
-            for f in assumptions.of(p) {
-                if f.belief_depth() != j {
-                    continue;
-                }
-                let Formula::Believes(_, body) = f else {
-                    unreachable!("checked shape");
-                };
-                let order: Vec<usize> = keep.iter().copied().collect();
-                let verdicts = pool.map_init(
-                    &order,
-                    || {
-                        Semantics::new_shared(
-                            system,
-                            current.clone(),
-                            Rc::new(RefCell::new(warmed.clone())),
-                        )
-                    },
-                    |sem, _, &ri| sem.eval(Point::new(ri, 0), body),
-                );
-                let mut surviving = BTreeSet::new();
-                for (i, v) in verdicts.into_iter().enumerate() {
-                    if v? {
-                        surviving.insert(order[i]);
-                    }
-                }
-                keep = surviving;
-            }
-            stage.insert(p.clone(), keep.len());
-            next.set(p.clone(), keep);
-        }
+        let completed = report.stages.len();
+        let (next, stage) = refine_stage(
+            system,
+            assumptions,
+            j,
+            &current,
+            &cache,
+            &unmetered,
+            completed,
+        )?
+        .expect("an unlimited budget never runs out");
         report.stages.push(stage);
         checkpoint.vectors.push(next.clone());
         current = next;

@@ -120,9 +120,10 @@ impl GoodRuns {
 /// vector, so one cache can be shared by many [`Semantics`] evaluators
 /// over the same system (see [`Semantics::new_shared`]).
 ///
-/// Values are [`Arc`]-shared and the cache is `Send + Clone`: the
-/// parallel paths prewarm one cache ([`EvalCache::prewarm_on`]) and hand
-/// each worker a clone, which shares every memoized set by reference.
+/// Values are [`Arc`]-shared and the cache is `Send + Clone`: serve
+/// sessions and the monitor prewarm one cache ([`EvalCache::prewarm_on`])
+/// and hand each evaluator a clone, which shares every memoized set by
+/// reference.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EvalCache {
     terms: TermCache,
@@ -669,35 +670,36 @@ impl<'a> Semantics<'a> {
         Ok(true)
     }
 
-    /// Evaluates `φ` at every point of `system`, sharded run-wise over
-    /// `pool`, returning the verdicts in [`System::points`] order.
+    /// Evaluates `φ` at every point of `system` with one evaluator,
+    /// returning the verdicts in [`System::points`] order.
     ///
-    /// The cache is prewarmed concurrently ([`EvalCache::prewarm_on`]);
-    /// each worker then evaluates with its own cache clone, so verdicts
-    /// are exactly those of a sequential sweep — `tests/e15_parallel.rs`
-    /// holds this path to the single-worker reference.
+    /// `pool` is not used. Sharding the points run-wise across workers
+    /// lost 3–5× on two real cores: every worker needs its own evaluator,
+    /// its own copy of a cache prewarmed for every principal at every
+    /// point, and its own possibility groups. Callers with several
+    /// formulas shard across formulas instead, one evaluator each (the
+    /// fault sweep's goals, in
+    /// [`survival_report`](crate::sweep::survival_report)). The
+    /// parameter stays so callers keep one signature whatever the
+    /// strategy.
     ///
     /// # Errors
     ///
     /// As for [`Semantics::eval`], reporting the error of the earliest
-    /// failing point in [`System::points`] order (as a sequential sweep
-    /// would).
+    /// failing point in [`System::points`] order.
     pub fn sweep_on(
         system: &'a System,
         goods: &GoodRuns,
         phi: &Formula,
-        pool: &Pool,
+        _pool: &Pool,
     ) -> Result<Vec<bool>, SemanticsError> {
-        Self::sweep_results(system, goods, phi, pool)
-            .into_iter()
-            .collect()
+        let sem = Semantics::new(system, goods.clone());
+        system.points().map(|pt| sem.eval(pt, phi)).collect()
     }
 
-    /// As [`Semantics::valid`], sharded over `pool`: true iff `φ` holds
-    /// at every point. Verdict and error agree exactly with the
-    /// sequential `valid` — in particular the answer for a sweep whose
-    /// earliest anomaly (in point order) is a false point is `Ok(false)`
-    /// even if a later point would error, matching `valid`'s early exit.
+    /// As [`Semantics::valid`] over a fresh evaluator: true iff `φ` holds
+    /// at every point. `pool` is not used, as for
+    /// [`Semantics::sweep_on`].
     ///
     /// # Errors
     ///
@@ -706,44 +708,9 @@ impl<'a> Semantics<'a> {
         system: &'a System,
         goods: &GoodRuns,
         phi: &Formula,
-        pool: &Pool,
+        _pool: &Pool,
     ) -> Result<bool, SemanticsError> {
-        for r in Self::sweep_results(system, goods, phi, pool) {
-            if !r? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Per-point evaluation outcomes in [`System::points`] order. With
-    /// one job this *is* the sequential sweep; otherwise runs are dealt
-    /// to workers, each with its own evaluator over a clone of one
-    /// prewarmed cache, and the per-run verdict vectors are merged back
-    /// in run order (deterministic whatever the stealing did).
-    fn sweep_results(
-        system: &'a System,
-        goods: &GoodRuns,
-        phi: &Formula,
-        pool: &Pool,
-    ) -> Vec<Result<bool, SemanticsError>> {
-        if pool.jobs() == 1 {
-            let sem = Semantics::new(system, goods.clone());
-            return system.points().map(|pt| sem.eval(pt, phi)).collect();
-        }
-        let warmed = EvalCache::prewarm_on(system, pool);
-        let runs: Vec<usize> = (0..system.len()).collect();
-        let per_run: Vec<Vec<Result<bool, SemanticsError>>> = pool.map_init(
-            &runs,
-            || Semantics::new_shared(system, goods.clone(), Rc::new(RefCell::new(warmed.clone()))),
-            |sem, _, &ri| {
-                let run = &system.runs()[ri];
-                run.times()
-                    .map(|k| sem.eval(Point::new(ri, k), phi))
-                    .collect()
-            },
-        );
-        per_run.into_iter().flatten().collect()
+        Semantics::new(system, goods.clone()).valid(phi)
     }
 
     /// Evaluates a ground formula (callers must have resolved parameters).

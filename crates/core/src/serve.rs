@@ -659,11 +659,16 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                     refuse_shutting_down(state, stream);
                     break;
                 }
+                // Count the entry before the push: once pushed, a worker
+                // may pop and call `queue_left` at once, and a gauge
+                // decremented before its increment would wrap.
+                state.metrics.queue_entered();
                 match state.queue.push(stream) {
-                    Ok(()) => state.metrics.queue_entered(),
+                    Ok(()) => {}
                     Err(stream) => {
                         // Backpressure: the queue is full, answer fast
                         // rather than piling up unbounded work.
+                        state.metrics.queue_left();
                         state.metrics.rejected();
                         let mut w = stream;
                         let _ = Response::err("busy").write_to(&mut w);
@@ -921,15 +926,11 @@ fn cmd_load(state: &Arc<ServerState>, path: &str) -> Response {
     let (goods, checkpoint, warmed) = match &system {
         Some(sys) => {
             let warmed = EvalCache::prewarm_on(sys, &state.pool);
-            let (goods, checkpoint) = match construct_checkpointed_with(
-                sys,
-                &belief_assumptions(&at),
-                &state.pool,
-                &warmed,
-            ) {
-                Ok((g, _, ckpt)) => (g, Some(ckpt)),
-                Err(_) => (GoodRuns::all_runs(sys), None),
-            };
+            let (goods, checkpoint) =
+                match construct_checkpointed_with(sys, &belief_assumptions(&at), &warmed) {
+                    Ok((g, _, ckpt)) => (g, Some(ckpt)),
+                    Err(_) => (GoodRuns::all_runs(sys), None),
+                };
             (goods, checkpoint, warmed)
         }
         None => (
@@ -1109,7 +1110,7 @@ fn cmd_reload(state: &Arc<ServerState>, rest: &str) -> Response {
                 (old.goods.clone(), old.checkpoint.clone())
             } else if system_reused && old.checkpoint.is_some() {
                 let prior = old.checkpoint.clone().unwrap_or_default();
-                match resume_construct_with(sys, &beliefs, &prior, &state.pool, &warmed) {
+                match resume_construct_with(sys, &beliefs, &prior, &warmed) {
                     Ok((g, _, ckpt, reused)) => {
                         stages_reused = reused;
                         (g, Some(ckpt))
@@ -1117,7 +1118,7 @@ fn cmd_reload(state: &Arc<ServerState>, rest: &str) -> Response {
                     Err(_) => (GoodRuns::all_runs(sys), None),
                 }
             } else {
-                match construct_checkpointed_with(sys, &beliefs, &state.pool, &warmed) {
+                match construct_checkpointed_with(sys, &beliefs, &warmed) {
                     Ok((g, _, ckpt)) => (g, Some(ckpt)),
                     Err(_) => (GoodRuns::all_runs(sys), None),
                 }

@@ -14,9 +14,9 @@
 //!    distinct plans with identical delivery patterns share one
 //!    annotation pass, and the passes are sharded across the same pool;
 //! 3. the distinct faulted runs become a [`System`] fed to the
-//!    parallel good-run construction and [`Semantics::valid_on`] sweep,
-//!    so every goal also gets a *semantic* verdict over degraded
-//!    traffic.
+//!    good-run construction and a [`Semantics::valid_on`] sweep per
+//!    goal, the goals sharded across the pool, so every goal also gets a
+//!    *semantic* verdict over degraded traffic.
 //!
 //! Every stage merges by index or first-occurrence order, so the
 //! rendered [`FaultSweepReport`] is byte-identical at every `--jobs`
@@ -244,14 +244,23 @@ pub fn fault_sweep_with_cache(
     pool: &Pool,
     cache: &ExecutionCache,
 ) -> FaultSweepReport {
+    survival_report(at, execute_grid(at, config, pool, cache), pool)
+}
+
+/// Enacts `at` and executes the grid of `config` over `pool`.
+fn execute_grid(
+    at: &AtProtocol,
+    config: &SweepConfig,
+    pool: &Pool,
+    cache: &ExecutionCache,
+) -> SweepOutcome {
     let proto = enact_with(
         at,
         EnactOptions {
             expect_policy: config.expect_policy,
         },
     );
-    let outcome = sweep_plans_on(&proto, &config.options, &config.grid.plans(), pool, cache);
-    survival_report(at, outcome, pool)
+    sweep_plans_on(&proto, &config.options, &config.grid.plans(), pool, cache)
 }
 
 /// Turns a finished [`SweepOutcome`] into the belief-survival report —
@@ -345,8 +354,10 @@ pub fn survival_report(at: &AtProtocol, outcome: SweepOutcome, pool: &Pool) -> F
         .collect();
 
     // The semantic stage: distinct faulted runs, audited, then good-run
-    // construction and a validity sweep per goal — all over the pool.
-    let system = outcome.system();
+    // construction and a validity sweep per goal, the goals over the
+    // pool. The outcome is spent here, so its runs move into the system.
+    let stats = outcome.stats;
+    let system = outcome.into_system();
     let audit_violations = pool
         .map(system.runs(), |_, run| validate_run(run).len())
         .into_iter()
@@ -360,32 +371,35 @@ pub fn survival_report(at: &AtProtocol, outcome: SweepOutcome, pool: &Pool) -> F
             Err(_) => GoodRuns::all_runs(&system),
         })
     };
-    let semantic_of = |goal: &Formula| -> String {
+    // One evaluator per goal: goals are independent and each sweeps
+    // every point, a grain coarse enough to pay for a worker.
+    let semantic = pool.map(&at.goals, |_, goal| {
         let Some(goods) = &goods else {
             return "no runs".to_string();
         };
-        match Semantics::valid_on(&system, goods, goal, pool) {
+        match Semantics::valid_on(&system, goods, goal, &Pool::sequential()) {
             Ok(true) => "valid".to_string(),
             Ok(false) => "fails".to_string(),
             Err(e) => format!("error: {e}"),
         }
-    };
+    });
     let survival: Vec<GoalSurvival> = at
         .goals
         .iter()
+        .zip(semantic)
         .enumerate()
-        .map(|(g, goal)| GoalSurvival {
+        .map(|(g, (goal, semantic))| GoalSurvival {
             goal: goal.clone(),
             baseline: baseline_flags[g],
             survived: survived[g],
             lost: lost[g],
-            semantic: semantic_of(goal),
+            semantic,
         })
         .collect();
 
     FaultSweepReport {
         protocol: at.name.clone(),
-        stats: outcome.stats,
+        stats,
         verdicts,
         survival,
         total_sends,
@@ -397,7 +411,12 @@ pub fn survival_report(at: &AtProtocol, outcome: SweepOutcome, pool: &Pool) -> F
 /// As [`fault_sweep_with_cache`] with a fresh cache — the common
 /// one-shot entry point behind `atl inject --sweep`.
 pub fn fault_sweep(at: &AtProtocol, config: &SweepConfig, pool: &Pool) -> FaultSweepReport {
-    fault_sweep_with_cache(at, config, pool, &ExecutionCache::new())
+    // The private cache is dropped before the report is built, so the
+    // outcome holds the only reference to each run and
+    // [`SweepOutcome::into_system`] moves the runs instead of copying
+    // them.
+    let outcome = execute_grid(at, config, pool, &ExecutionCache::new());
+    survival_report(at, outcome, pool)
 }
 
 #[cfg(test)]

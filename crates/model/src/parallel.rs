@@ -1,14 +1,17 @@
 //! A small work-stealing pool for the parallel verification paths.
 //!
 //! The parallelizable workloads in this workspace — executing fault
-//! plans in a sweep ([`crate::sweep_plans_on`]), filtering candidate runs in a
-//! `G^j` good-run stage, prewarming per-point evaluation caches, and
-//! proving independent goals (`atl-core`'s `goodruns`, `semantics`, and
-//! `prover::BatchProver`, which reach this module through the
-//! `atl_core::parallel` re-export) — all have the same shape: a
-//! fixed slice of independent items, each mapped through a pure-ish
+//! plans in a sweep ([`crate::sweep_plans_on`]), the sweep's annotation
+//! passes and its per-goal validity sweeps, prewarming a serve session's
+//! evaluation cache, and proving independent goals (`atl-core`'s `sweep`,
+//! `semantics`, and `prover::BatchProver`, which reach this module
+//! through the `atl_core::parallel` re-export) — all have the same shape:
+//! a fixed slice of independent items, each mapped through a pure-ish
 //! function, with results needed **in input order** so the parallel path
-//! is bit-identical to the sequential one. [`Pool::map`] provides
+//! is bit-identical to the sequential one. Filtering one `G^j` stage's
+//! runs and sweeping one formula's points stay on one thread: sharded
+//! run by run, each worker needed its own evaluator and cache copy, and
+//! that lost 3–5× to the sequential path on two real cores. [`Pool::map`] provides
 //! exactly that: indices are dealt into per-worker deques, idle workers
 //! steal from the *back* of busy workers' deques (classic work
 //! stealing, so an item that turns out expensive does not serialize the
@@ -20,8 +23,8 @@
 //! `&System`, the frozen interner) without `Arc`-wrapping the world and
 //! without `unsafe` (this crate forbids it). Spawn cost is a few tens of
 //! microseconds per `map`, which the callers amortize by parallelizing
-//! only coarse units (whole runs, whole proof obligations, whole suite
-//! entries).
+//! only coarse units (whole executions, whole goals, whole proof
+//! obligations, whole suite entries).
 //!
 //! A pool with `jobs == 1` (see [`Pool::sequential`]) never spawns: it
 //! runs the items inline, in order, on the calling thread. That path is

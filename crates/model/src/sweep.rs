@@ -511,6 +511,18 @@ pub fn execution_context_digest(protocol: &Protocol, options: &ExecOptions) -> u
     h.finish()
 }
 
+/// The bucket key of a run in [`SweepOutcome::into_system`]: a hash of
+/// its start time and event sequence. Runs that differ only in their
+/// initial states share it, so it only ever narrows a full comparison.
+fn run_digest(run: &Run) -> u64 {
+    let mut h = DefaultHasher::new();
+    run.start_time().hash(&mut h);
+    for (_, event) in run.events() {
+        event.hash(&mut h);
+    }
+    h.finish()
+}
+
 /// One plan's slot in a [`SweepOutcome`].
 #[derive(Clone, Debug)]
 pub struct PlanResult {
@@ -579,17 +591,46 @@ pub struct SweepOutcome {
 
 impl SweepOutcome {
     /// The distinct well-formed runs of the sweep, in first-occurrence
-    /// order, as a [`System`] ready for the semantics pipeline.
+    /// order, as a [`System`] ready for the semantics pipeline. The
+    /// outcome keeps its runs, so every distinct run is copied; a caller
+    /// done with the outcome should use [`into_system`](Self::into_system).
     pub fn system(&self) -> System {
-        let mut runs: Vec<Run> = Vec::new();
+        self.clone().into_system()
+    }
+
+    /// As [`system`](Self::system), consuming the outcome.
+    ///
+    /// Runs are bucketed by a hash of their start time and event
+    /// sequence, and full `Run` equality decides inside a bucket, so a
+    /// hash collision can never merge two runs. Each distinct run is
+    /// moved out of its `Arc` when this outcome held the last reference,
+    /// and copied only when another holder (a caller's
+    /// [`ExecutionCache`], a clone of the outcome) still shares it.
+    pub fn into_system(self) -> System {
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut distinct: Vec<Arc<ExecOutcome>> = Vec::new();
         for result in &self.results {
-            if let Some((run, _)) = result.ok() {
-                if !runs.contains(run) {
-                    runs.push(run.clone());
-                }
+            let Some((run, _)) = result.ok() else {
+                continue;
+            };
+            let bucket = buckets.entry(run_digest(run)).or_default();
+            let known = bucket.iter().any(|&i| {
+                Arc::ptr_eq(&distinct[i], &result.outcome)
+                    || matches!(distinct[i].as_ref(), Ok((r, _)) if r == run)
+            });
+            if !known {
+                bucket.push(distinct.len());
+                distinct.push(Arc::clone(&result.outcome));
             }
         }
-        System::new(runs)
+        // Release this outcome's other references first, so the runs no
+        // one else holds move instead of being copied.
+        drop(self);
+        System::new(
+            distinct
+                .into_iter()
+                .filter_map(|outcome| Arc::unwrap_or_clone(outcome).ok().map(|(run, _)| run)),
+        )
     }
 
     /// The successful `(plan, run, report)` triples in plan order.
@@ -979,6 +1020,97 @@ mod tests {
             }
             assert_eq!(outcome.system().runs(), reference.system().runs());
         }
+    }
+
+    /// The distinct runs of `outcome` by the quadratic `Vec::contains`
+    /// dedupe `into_system` replaced.
+    fn contains_dedupe(outcome: &SweepOutcome) -> Vec<Run> {
+        let mut runs: Vec<Run> = Vec::new();
+        for (_, run, _) in outcome.ok_results() {
+            if !runs.contains(run) {
+                runs.push(run.clone());
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn into_system_matches_the_contains_dedupe() {
+        let proto = lossy_ping_pong();
+        let opts = ExecOptions::default();
+        let pool = Pool::sequential();
+        // Certain drops share one Arc across seeds, fractional duplicates
+        // resolve to equal runs under distinct fingerprints, and
+        // out-of-range drops fail.
+        let plans: Vec<FaultPlan> = (0..6)
+            .flat_map(|s| {
+                [
+                    FaultPlan::new(s).drop(1.0),
+                    FaultPlan::new(s).duplicate(0.5),
+                    FaultPlan::new(s).drop(2.0),
+                ]
+            })
+            .collect();
+        let cache = ExecutionCache::new();
+        let outcome = sweep_plans_on(&proto, &opts, &plans, &pool, &cache);
+        assert_eq!(outcome.stats.failed, 6);
+        let reference = contains_dedupe(&outcome);
+        assert!(reference.len() < outcome.stats.unique);
+        assert_eq!(outcome.system().runs(), reference.as_slice());
+        // The live cache still holds every Arc, so the runs are copied
+        // and the cache keeps answering with them.
+        assert_eq!(outcome.into_system().runs(), reference.as_slice());
+        let again = sweep_plans_on(&proto, &opts, &plans, &pool, &cache);
+        assert_eq!(again.stats.executed, 0);
+        assert_eq!(contains_dedupe(&again), reference);
+        // Without the cache the outcome is the only holder: the runs move.
+        drop(cache);
+        assert_eq!(again.into_system().runs(), reference.as_slice());
+    }
+
+    #[test]
+    fn into_system_keeps_runs_that_share_a_digest_or_a_prefix() {
+        use crate::run::RunBuilder;
+        let x = nonce("X");
+        let run = |keys: &[&str], received: bool| {
+            let mut b = RunBuilder::new(0);
+            b.principal("A", keys.iter().map(|k| Key::new(*k)));
+            b.principal("B", []);
+            b.send("A", x.clone(), "B").unwrap();
+            if received {
+                b.receive("B", &x).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let short = run(&["Kab"], false);
+        let long = run(&["Kab"], true);
+        // Same start time and events as `short`, different initial
+        // state: the same bucket, yet a distinct run.
+        let rekeyed = run(&["Kab", "Kx"], false);
+        assert_eq!(run_digest(&short), run_digest(&rekeyed));
+        assert_ne!(short, rekeyed);
+        let slot = |run: &Run| {
+            let plan = FaultPlan::new(0);
+            PlanResult {
+                fingerprint: PlanFingerprint::of(&plan),
+                plan,
+                outcome: Arc::new(Ok((run.clone(), ExecReport::default()))),
+            }
+        };
+        let shared = slot(&long);
+        let outcome = SweepOutcome {
+            results: vec![
+                slot(&short),
+                shared.clone(),
+                slot(&short),
+                slot(&rekeyed),
+                shared,
+            ],
+            stats: SweepStats::default(),
+        };
+        let reference = contains_dedupe(&outcome);
+        assert_eq!(reference, vec![short, long, rekeyed]);
+        assert_eq!(outcome.into_system().runs(), reference.as_slice());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! E15: the parallel engine is *invisible* — equivalence guards for the
 //! work-stealing pool.
 //!
-//! Three layers gained a parallel path: the Section 7 good-run
-//! construction (`construct_budgeted_on`), the semantics sweep
+//! Three layers take a pool: the Section 7 good-run construction
+//! (`construct_budgeted_on`), the semantics sweep
 //! (`Semantics::sweep_on` / `valid_on`), and batch proving
-//! (`BatchProver`). Each shards work over the pool and merges results in
-//! deterministic order, so the outputs must be bit-identical to the
-//! sequential reference path at every worker count — on every committed
-//! spec and on randomized systems, with and without budgets.
+//! (`BatchProver`). The first two run on one thread whatever the pool
+//! (run-wise sharding lost on real cores); batch proving shards jobs and
+//! merges results in deterministic order. Either way the outputs must be
+//! bit-identical to the sequential reference path at every worker count
+//! — on every committed spec and on randomized systems, with and without
+//! budgets.
 
 use atl::core::budget::Budget;
 use atl::core::enact::enact;
