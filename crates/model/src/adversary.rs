@@ -123,7 +123,7 @@ pub fn random_run(config: &GenConfig, rng: &mut StdRng) -> Run {
             builder.new_key(actor, k.clone());
         }
     }
-    builder.build().expect("generator always reaches time 0")
+    builder.finish().expect("generator always reaches time 0")
 }
 
 /// Tries one random action; returns whether it fired.

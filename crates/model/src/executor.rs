@@ -16,11 +16,13 @@
 //! the Section 5 restrictions; the accompanying [`ExecReport`] records
 //! exactly what was injected and how the roles coped.
 
+use crate::action::Action;
 use crate::error::ModelError;
 use crate::faults::{AbandonedStep, ExecReport, FaultEvent, FaultKind, FaultPlan};
 use crate::parallel::Pool;
 use crate::protocol::{ExpectPolicy, MsgPattern, OnTimeout, Protocol, RoleStep};
 use crate::run::{Run, RunBuilder};
+use crate::state::GlobalState;
 use crate::sweep::{sweep_plans_on, ExecutionCache, SweepGrid, SweepOutcome};
 use crate::system::System;
 use atl_lang::{seen_submsgs_of_set, Message, Principal};
@@ -189,6 +191,14 @@ impl<'a> Driver<'a> {
     }
 
     fn run(mut self) -> Result<(Run, ExecReport), ModelError> {
+        self.drive()?;
+        let run = self.builder.finish()?;
+        Ok((run, self.report))
+    }
+
+    /// Runs the scheduler rounds until every role script is finished,
+    /// then applies the compromises still pending.
+    fn drive(&mut self) -> Result<(), ModelError> {
         let cap = self.round_cap();
         let n = self.protocol.roles().len();
         while !self.finished() {
@@ -227,8 +237,7 @@ impl<'a> Driver<'a> {
         }
         self.apply_remaining_compromises();
         self.report.rounds = self.round;
-        let run = self.builder.build()?;
-        Ok((run, self.report))
+        Ok(())
     }
 
     fn finished(&self) -> bool {
@@ -510,7 +519,6 @@ impl<'a> Driver<'a> {
         let Some(plan) = self.plan else {
             return Ok(());
         };
-        let plan = plan.clone();
         let Some(rng) = self.rng.as_mut() else {
             return Ok(());
         };
@@ -582,13 +590,7 @@ impl<'a> Driver<'a> {
     /// `to` — the same move the random adversary generator makes, and
     /// legal under restriction 3 because the material was seen.
     fn perform_replay(&mut self, pick: u64, to: &Principal) {
-        let env_local = self.builder.current_state().local(&self.env);
-        let mut seen: Vec<Message> =
-            seen_submsgs_of_set(env_local.received().iter(), &env_local.key_set)
-                .into_iter()
-                .filter(|m| m.is_ground())
-                .collect();
-        seen.sort();
+        let seen = replay_material(self.builder.current_state(), &self.env);
         if seen.is_empty() {
             return;
         }
@@ -607,6 +609,27 @@ impl<'a> Driver<'a> {
             });
         }
     }
+}
+
+/// The material `env` may replay in `state`: every ground submessage it
+/// can see in the messages it has received, in sorted order. It reads
+/// the received messages from the global history by reference, because
+/// [`GlobalState::local`] would copy the environment's whole history on
+/// every replay.
+fn replay_material(state: &GlobalState, env: &Principal) -> Vec<Message> {
+    let received = state
+        .env
+        .global_history
+        .iter()
+        .filter(|e| &e.actor == env)
+        .filter_map(|e| match &e.action {
+            Action::Receive { message } => Some(message),
+            _ => None,
+        });
+    seen_submsgs_of_set(received, state.key_set(env))
+        .into_iter()
+        .filter(|m| m.is_ground())
+        .collect()
 }
 
 /// Executes the protocol under each provided schedule, collecting the
@@ -965,6 +988,48 @@ mod tests {
     }
 
     #[test]
+    fn replay_material_matches_the_environment_local_view() {
+        // A keyed exchange whose ciphertext the environment can open only
+        // after the compromise, with drops so the tapped copies and the
+        // deliveries diverge.
+        let k = Key::new("Kab");
+        let cipher = Message::encrypted(nonce("X"), k.clone(), Principal::new("A"));
+        let proto = Protocol::new("enc")
+            .role(
+                Role::new("A", [k.clone()])
+                    .send(cipher.clone(), "B")
+                    .expect_with(nonce("ack"), ExpectPolicy::skip_after(2)),
+            )
+            .role(
+                Role::new("B", [k.clone()])
+                    .expect_with(cipher, ExpectPolicy::skip_after(2))
+                    .send(nonce("ack"), "A"),
+            );
+        let env = Principal::environment();
+        let mut compared = 0;
+        for seed in 0..8 {
+            let plan = FaultPlan::new(seed)
+                .replay(1.0)
+                .drop(0.5)
+                .compromise(k.clone(), 3);
+            let (run, _) = execute_with_faults(&proto, &ExecOptions::default(), &plan).unwrap();
+            for t in run.times() {
+                let state = run.state(t).unwrap();
+                let view = state.local(&env);
+                let reference: Vec<Message> =
+                    seen_submsgs_of_set(view.received().iter(), &view.key_set)
+                        .into_iter()
+                        .filter(|m| m.is_ground())
+                        .collect();
+                let material = replay_material(state, &env);
+                assert_eq!(material, reference, "seed {seed}, t={t}");
+                compared += usize::from(!material.is_empty());
+            }
+        }
+        assert!(compared > 0);
+    }
+
+    #[test]
     fn compromise_grants_environment_the_key() {
         let k = Key::new("Kab");
         let cipher = Message::encrypted(nonce("X"), k.clone(), Principal::new("A"));
@@ -1025,6 +1090,48 @@ mod tests {
                     != execute_with_faults(proto, &opts, &plan(11)).ok()
             });
             assert!(differs, "all seeds produced identical faulted runs");
+        }
+    }
+
+    #[test]
+    fn finish_matches_build_on_fixture_runs() {
+        let lossy = Protocol::new("lossy")
+            .role(
+                Role::new("A", [])
+                    .send(nonce("ping"), "B")
+                    .expect_with(nonce("pong"), ExpectPolicy::resend_after(2, 2)),
+            )
+            .role(
+                Role::new("B", [])
+                    .expect_with(nonce("ping"), ExpectPolicy::skip_after(3))
+                    .send(nonce("pong"), "A"),
+            );
+        let public = ExecOptions {
+            public_channel: true,
+            start_time: -1,
+            ..ExecOptions::default()
+        };
+        let plans = [
+            FaultPlan::new(1).drop(0.5),
+            FaultPlan::new(2).duplicate(1.0),
+            FaultPlan::new(4).delay(1.0, 3),
+            FaultPlan::new(6).replay(1.0).reorder(0.5),
+            FaultPlan::new(0).compromise("Klate", 9),
+        ];
+        let default = ExecOptions::default();
+        let mut cases: Vec<(&Protocol, &ExecOptions, Option<&FaultPlan>)> =
+            vec![(&lossy, &public, None), (&lossy, &default, None)];
+        cases.extend(plans.iter().map(|p| (&lossy, &public, Some(p))));
+        for (protocol, options, plan) in cases {
+            let mut driver = Driver::new(protocol, options, plan).unwrap();
+            driver.drive().unwrap();
+            let built = driver.builder.build().unwrap();
+            let finished = driver.builder.finish().unwrap();
+            assert_eq!(built, finished, "{plan:?}");
+            assert_eq!(built.send_records(), finished.send_records(), "{plan:?}");
+            let plan = plan.cloned().unwrap_or_else(|| FaultPlan::new(0));
+            let (executed, _) = execute_with_faults(protocol, options, &plan).unwrap();
+            assert_eq!(executed, finished, "{plan:?}");
         }
     }
 

@@ -1,9 +1,12 @@
 //! A small work-stealing pool for the parallel verification paths.
 //!
 //! The parallelizable workloads in this workspace — executing fault
-//! plans in a sweep ([`crate::sweep_plans_on`]), the sweep's annotation
-//! passes and its per-goal validity sweeps, prewarming a serve session's
-//! evaluation cache, and proving independent goals (`atl-core`'s `sweep`,
+//! plans in a sweep ([`crate::sweep_plans_on`]) or a hunt
+//! ([`crate::hunt_plans_on`]: its mutant batches, and its shrink rounds,
+//! which probe one reduction of every unfinished class at once), the
+//! sweep's annotation passes and its per-goal validity sweeps,
+//! prewarming a serve session's evaluation cache, and proving
+//! independent goals (`atl-core`'s `sweep`,
 //! `semantics`, and `prover::BatchProver`, which reach this module
 //! through the `atl_core::parallel` re-export) — all have the same shape:
 //! a fixed slice of independent items, each mapped through a pure-ish

@@ -599,20 +599,27 @@ impl RunBuilder {
         self
     }
 
-    /// Finishes the run.
+    /// Builds the run so far and keeps the builder, which can go on
+    /// stepping. This copies every state and event; a caller that is
+    /// done with the builder should use [`RunBuilder::finish`], which
+    /// moves them instead.
+    ///
+    /// # Errors
+    ///
+    /// As for [`RunBuilder::finish`].
+    pub fn build(&mut self) -> Result<Run, ModelError> {
+        self.clone().finish()
+    }
+
+    /// Finishes the run, moving the builder's states and events into it.
     ///
     /// # Errors
     ///
     /// [`ModelError::MalformedRun`] if the run would end before time 0.
-    pub fn build(&mut self) -> Result<Run, ModelError> {
-        let mut states = self.states.clone();
-        states.push(self.current.clone());
-        Run::from_parts(
-            self.start_time,
-            states,
-            self.events.clone(),
-            self.bindings.clone(),
-        )
+    pub fn finish(self) -> Result<Run, ModelError> {
+        let mut states = self.states;
+        states.push(self.current);
+        Run::from_parts(self.start_time, states, self.events, self.bindings)
     }
 }
 
@@ -830,6 +837,47 @@ mod tests {
             }
         }
         assert_eq!(extended.expect("run crossed the epoch"), full);
+    }
+
+    #[test]
+    fn build_leaves_the_builder_extendable() {
+        let steps = |b: &mut RunBuilder, from: usize| {
+            if from == 0 {
+                b.send("A", nonce("old"), "B").unwrap();
+            }
+            b.receive("B", &nonce("old")).unwrap();
+            b.new_key("B", "K2");
+            b.send("B", nonce("new"), "A").unwrap();
+            b.idle();
+            b.receive("A", &nonce("new")).unwrap();
+        };
+        let start = || {
+            let mut b = RunBuilder::new(-1);
+            b.principal("A", [Key::new("K")]);
+            b.principal("B", []);
+            b
+        };
+        let mut b = start();
+        b.send("A", nonce("old"), "B").unwrap();
+        let early = b.build().unwrap();
+        steps(&mut b, 1);
+        let late = b.build().unwrap();
+        // Built twice along the way, or never: the same run.
+        let mut straight = start();
+        steps(&mut straight, 0);
+        assert_eq!(straight.finish().unwrap(), late);
+        assert_eq!(b.finish().unwrap(), late);
+        // The early run is a prefix of the late one, up to the message
+        // its final state still shows in flight: a receive pops the
+        // buffer before its pre-state is recorded.
+        assert_eq!(early.horizon(), 0);
+        assert_eq!(early.state(-1), late.state(-1));
+        assert_eq!(early.event_at(-1), late.event_at(-1));
+        let (at_build, in_late) = (early.state(0).unwrap(), late.state(0).unwrap());
+        assert_eq!(at_build.locals, in_late.locals);
+        assert_eq!(at_build.env.global_history, in_late.env.global_history);
+        assert_eq!(at_build.env.buffer(&Principal::new("B")), [nonce("old")]);
+        assert!(in_late.env.buffer(&Principal::new("B")).is_empty());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!    identity plan axis by axis while its signature is preserved; the
 //!    fixpoint is the *minimal* plan reported for the class, and by
 //!    construction flipping any single minimized axis further toward
-//!    identity loses the signature.
+//!    identity loses the signature. All classes shrink in lockstep, so
+//!    each round's probes execute as one batch on the pool.
 //!
 //! Execution rides [`sweep_plans_on`]: dedup, the shared
 //! [`ExecutionCache`], and `--jobs` parallelism come for free, and the
@@ -348,6 +349,14 @@ const INITIAL_ENERGY: u32 = 8;
 /// are generated sequentially from the seeded RNG, executions ride the
 /// jobs-invariant [`sweep_plans_on`], classification walks batches in
 /// generation order, and shrinking is deterministic.
+///
+/// Shrinking runs every class in lockstep: each round, every class that
+/// has not reached its fixpoint proposes its next reduction, the round
+/// executes them as one sweep on `pool`, and classifies the results in
+/// class order. Each class sees exactly the probe sequence it would see
+/// shrinking alone, so only the interleaving of `classify` calls across
+/// classes differs from a class-by-class shrink. `classify` should
+/// therefore be a pure function of the plan and its outcome.
 pub fn hunt_plans_on<C>(
     protocol: &Protocol,
     options: &ExecOptions,
@@ -356,6 +365,34 @@ pub fn hunt_plans_on<C>(
     cache: &ExecutionCache,
     store: Option<&HuntStore>,
     mut classify: C,
+) -> HuntOutcome
+where
+    C: FnMut(&FaultPlan, &ExecOutcome) -> String,
+{
+    let mut outcome = explore(protocol, options, config, pool, cache, store, &mut classify);
+    shrink_classes(
+        protocol,
+        options,
+        &config.space,
+        pool,
+        cache,
+        &mut outcome,
+        &mut classify,
+    );
+    outcome
+}
+
+/// The discovery half of [`hunt_plans_on`]: the baseline, round zero and
+/// the mutation rounds, up to the budget. Every class's `minimal` is
+/// still its witness.
+fn explore<C>(
+    protocol: &Protocol,
+    options: &ExecOptions,
+    config: &HuntConfig,
+    pool: &Pool,
+    cache: &ExecutionCache,
+    store: Option<&HuntStore>,
+    classify: &mut C,
 ) -> HuntOutcome
 where
     C: FnMut(&FaultPlan, &ExecOutcome) -> String,
@@ -466,23 +503,6 @@ where
         }
     }
 
-    // Shrink every class toward the identity plan.
-    for class in &mut classes {
-        let (minimal, probes, spent) = shrink(
-            protocol,
-            options,
-            &config.space,
-            pool,
-            cache,
-            &class.witness,
-            &class.signature,
-            &mut classify,
-        );
-        stats.shrink_trials += probes;
-        stats.executed += spent;
-        class.minimal = minimal;
-    }
-
     HuntOutcome {
         classes,
         baseline,
@@ -514,55 +534,101 @@ fn pick_parent(
     corpus[0].0.clone()
 }
 
-/// Delta-debugs `witness` toward the identity plan while `target` is
-/// preserved: repeatedly accept the first single-axis reduction
-/// (compromise removal, a lower palette probability, the default delay
-/// duration, the identity seed) that keeps the signature, until a full
-/// pass finds none. That final failed pass is the minimality
-/// certificate: every single-axis reduction the space offers was tried
-/// against the result and lost the signature.
-#[allow(clippy::too_many_arguments)]
-fn shrink<C>(
+/// Delta-debugs every class's witness toward the identity plan while
+/// its signature is preserved: repeatedly accept the first single-axis
+/// reduction (compromise removal, a lower palette probability, the
+/// default delay duration, the identity seed) that keeps the signature,
+/// until a full pass finds none. That final failed pass is the
+/// minimality certificate: every single-axis reduction the space offers
+/// was tried against the result and lost the signature.
+///
+/// The classes advance in lockstep, one probe each per round, and a
+/// round's probes execute as one sweep on `pool`. Every probe counts as
+/// one shrink trial and one resolved plan, exactly as if it had run
+/// alone: a fingerprint two classes probe in the same round executes
+/// once but counts twice.
+fn shrink_classes<C>(
     protocol: &Protocol,
     options: &ExecOptions,
     space: &MutationSpace,
     pool: &Pool,
     cache: &ExecutionCache,
-    witness: &FaultPlan,
-    target: &str,
+    outcome: &mut HuntOutcome,
     classify: &mut C,
-) -> (FaultPlan, usize, usize)
-where
+) where
     C: FnMut(&FaultPlan, &ExecOutcome) -> String,
 {
-    let mut current = witness.clone();
-    let mut probes = 0usize;
-    let mut spent = 0usize;
-    let mut check = |candidate: &FaultPlan| -> bool {
-        if candidate.validate().is_err() {
-            return false;
+    let mut shrinkers: Vec<Shrinker> = outcome
+        .classes
+        .iter()
+        .map(|class| Shrinker::new(space, class.witness.clone()))
+        .collect();
+    loop {
+        let (owners, batch): (Vec<usize>, Vec<FaultPlan>) = shrinkers
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, shrinker)| shrinker.propose().map(|c| (i, c.clone())))
+            .unzip();
+        if batch.is_empty() {
+            break;
         }
-        probes += 1;
-        let outcome = sweep_plans_on(
-            protocol,
-            options,
-            std::slice::from_ref(candidate),
-            pool,
-            cache,
-        );
-        spent += outcome.stats.executed + outcome.stats.cache_hits;
-        classify(candidate, outcome.results[0].outcome.as_ref()) == target
-    };
-    'fixpoint: loop {
-        for candidate in reductions(space, &current) {
-            if check(&candidate) {
-                current = candidate;
-                continue 'fixpoint;
-            }
+        outcome.stats.shrink_trials += batch.len();
+        outcome.stats.executed += batch.len();
+        let swept = sweep_plans_on(protocol, options, &batch, pool, cache);
+        for (&i, result) in owners.iter().zip(&swept.results) {
+            let kept =
+                classify(&result.plan, result.outcome.as_ref()) == outcome.classes[i].signature;
+            shrinkers[i].advance(space, kept);
         }
-        break;
     }
-    (current, probes, spent)
+    for (class, shrinker) in outcome.classes.iter_mut().zip(shrinkers) {
+        class.minimal = shrinker.current;
+    }
+}
+
+/// One class's place in delta debugging: the plan so far, its
+/// single-axis [`reductions`], and how many of them the current pass
+/// has already probed.
+struct Shrinker {
+    current: FaultPlan,
+    reductions: Vec<FaultPlan>,
+    next: usize,
+}
+
+impl Shrinker {
+    fn new(space: &MutationSpace, witness: FaultPlan) -> Self {
+        Shrinker {
+            reductions: reductions(space, &witness),
+            current: witness,
+            next: 0,
+        }
+    }
+
+    /// The next valid reduction to probe, or `None` once the pass is
+    /// exhausted (the fixpoint). Invalid reductions are skipped unprobed.
+    fn propose(&mut self) -> Option<&FaultPlan> {
+        while self
+            .reductions
+            .get(self.next)
+            .is_some_and(|c| c.validate().is_err())
+        {
+            self.next += 1;
+        }
+        self.reductions.get(self.next)
+    }
+
+    /// Records whether the proposed reduction kept the signature. A kept
+    /// reduction becomes the current plan and starts a fresh pass; a lost
+    /// one moves the pass on.
+    fn advance(&mut self, space: &MutationSpace, kept: bool) {
+        if kept {
+            self.current = self.reductions.swap_remove(self.next);
+            self.reductions = reductions(space, &self.current);
+            self.next = 0;
+        } else {
+            self.next += 1;
+        }
+    }
 }
 
 /// Every single-axis reduction of `plan` toward the identity plan, in a
@@ -795,6 +861,148 @@ mod tests {
             batch: 8,
             space: MutationSpace::new().prob_steps([0.0, 0.5, 1.0]),
             seed_plans: Vec::new(),
+        }
+    }
+
+    /// The Kerberos fragment of the paper's Figure 1, built by hand the
+    /// way the enactor builds it from the spec: S sends A the session
+    /// key statement with B's ticket inside, and A forwards the ticket.
+    fn figure1() -> Protocol {
+        let (kas, kbs) = (Key::new("Kas"), Key::new("Kbs"));
+        let statement = Message::formula(atl_lang::Formula::shared_key("A", Key::new("Kab"), "B"));
+        let ticket = Message::encrypted(
+            Message::tuple([nonce("Ts"), statement.clone()]),
+            kbs.clone(),
+            "S",
+        );
+        let to_a = Message::encrypted(
+            Message::tuple([nonce("Ts"), statement, ticket.clone()]),
+            kas.clone(),
+            "S",
+        );
+        let policy = ExpectPolicy::resend_after(6, 2);
+        Protocol::new("kerberos-figure1")
+            .role(Role::new("S", [kas.clone(), kbs.clone()]).send(to_a.clone(), "A"))
+            .role(
+                Role::new("A", [kas])
+                    .expect_with(to_a, policy)
+                    .send(ticket.clone(), "B"),
+            )
+            .role(Role::new("B", [kbs]).expect_with(ticket, policy))
+    }
+
+    fn figure1_config() -> HuntConfig {
+        let mut space = MutationSpace::new().seeds(0..4);
+        for key in ["Kab", "Kas", "Kbs"] {
+            space = space.candidate(Key::new(key), 1);
+        }
+        HuntConfig {
+            seed: 3,
+            budget: 64,
+            batch: 16,
+            space,
+            seed_plans: Vec::new(),
+        }
+    }
+
+    /// The serial reference for lockstep shrinking: one class at a time,
+    /// one single-plan sweep per probe. Returns the minimal plan, the
+    /// probes made and the plans resolved.
+    #[allow(clippy::too_many_arguments)]
+    fn shrink_serial<C>(
+        protocol: &Protocol,
+        options: &ExecOptions,
+        space: &MutationSpace,
+        pool: &Pool,
+        cache: &ExecutionCache,
+        witness: &FaultPlan,
+        target: &str,
+        classify: &mut C,
+    ) -> (FaultPlan, usize, usize)
+    where
+        C: FnMut(&FaultPlan, &ExecOutcome) -> String,
+    {
+        let mut current = witness.clone();
+        let mut probes = 0usize;
+        let mut spent = 0usize;
+        let mut check = |candidate: &FaultPlan| -> bool {
+            if candidate.validate().is_err() {
+                return false;
+            }
+            probes += 1;
+            let outcome = sweep_plans_on(
+                protocol,
+                options,
+                std::slice::from_ref(candidate),
+                pool,
+                cache,
+            );
+            spent += outcome.stats.executed + outcome.stats.cache_hits;
+            classify(candidate, outcome.results[0].outcome.as_ref()) == target
+        };
+        'fixpoint: loop {
+            for candidate in reductions(space, &current) {
+                if check(&candidate) {
+                    current = candidate;
+                    continue 'fixpoint;
+                }
+            }
+            break;
+        }
+        (current, probes, spent)
+    }
+
+    #[test]
+    fn lockstep_shrinking_matches_the_serial_oracle() {
+        let options = ExecOptions::default();
+        for (protocol, config) in [(lossy_ping_pong(), config()), (figure1(), figure1_config())] {
+            for jobs in [1, 2, 4] {
+                let pool = Pool::new(jobs);
+                let name = format!("{} at jobs={jobs}", protocol.name());
+                let outcome = hunt_plans_on(
+                    &protocol,
+                    &options,
+                    &config,
+                    &pool,
+                    &ExecutionCache::new(),
+                    None,
+                    classify,
+                );
+                let explored = explore(
+                    &protocol,
+                    &options,
+                    &config,
+                    &pool,
+                    &ExecutionCache::new(),
+                    None,
+                    &mut classify,
+                );
+                assert!(outcome.classes.len() > 2, "{name}: {:?}", outcome.classes);
+                assert_eq!(explored.classes.len(), outcome.classes.len(), "{name}");
+                let (mut probes, mut spent) = (0, 0);
+                for class in &outcome.classes {
+                    let (minimal, p, s) = shrink_serial(
+                        &protocol,
+                        &options,
+                        &config.space,
+                        &Pool::sequential(),
+                        &ExecutionCache::new(),
+                        &class.witness,
+                        &class.signature,
+                        &mut classify,
+                    );
+                    assert_eq!(class.minimal, minimal, "{name}: {}", class.signature);
+                    probes += p;
+                    spent += s;
+                }
+                assert!(probes > 0, "{name}: nothing was shrunk");
+                assert_eq!(outcome.stats.shrink_trials, probes, "{name}");
+                assert_eq!(
+                    outcome.stats.executed,
+                    explored.stats.executed + spent,
+                    "{name}"
+                );
+            }
         }
     }
 

@@ -2,6 +2,7 @@
 
 use crate::action::{Action, Event};
 use atl_lang::{hide_message, KeySet, Message, MessageSet, Principal, TermCache};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A system principal's local state: its local history, its key set, and
@@ -123,19 +124,20 @@ pub struct GlobalState {
 }
 
 impl GlobalState {
-    /// The local state of `p`.
+    /// The local state of `p`, borrowed for a system principal.
     ///
-    /// For the distinguished environment principal this synthesizes a view
-    /// from the environment state: its history is the environment's own
-    /// actions drawn from the global history, and its key set is the
-    /// environment key set. (The environment can deduce everything in the
-    /// global state, but for the belief semantics only its own actions and
-    /// keys matter, matching the treatment of system principals.)
-    pub fn local(&self, p: &Principal) -> LocalState {
+    /// For the distinguished environment principal this synthesizes an
+    /// owned view from the environment state: its history is the
+    /// environment's own actions drawn from the global history, and its
+    /// key set is the environment key set. (The environment can deduce
+    /// everything in the global state, but for the belief semantics only
+    /// its own actions and keys matter, matching the treatment of system
+    /// principals.)
+    pub fn local(&self, p: &Principal) -> Cow<'_, LocalState> {
         if let Some(s) = self.locals.get(p) {
-            return s.clone();
+            return Cow::Borrowed(s);
         }
-        LocalState {
+        Cow::Owned(LocalState {
             history: self
                 .env
                 .global_history
@@ -145,7 +147,7 @@ impl GlobalState {
                 .collect(),
             key_set: self.env.key_set.clone(),
             data: BTreeMap::new(),
-        }
+        })
     }
 
     /// The key set of `p` in this state (environment key set for the
@@ -239,8 +241,29 @@ mod tests {
             .push(Event::new(env_p.clone(), Action::new_key("Ke")));
         g.env.key_set.insert(Key::new("Ke"));
         let view = g.local(&env_p);
-        assert_eq!(view.history, vec![Action::new_key("Ke")]);
-        assert!(view.key_set.contains(&Key::new("Ke")));
+        assert!(matches!(view, Cow::Owned(_)));
+        assert_eq!(
+            *view,
+            LocalState {
+                history: vec![Action::new_key("Ke")],
+                key_set: [Key::new("Ke")].into_iter().collect(),
+                data: BTreeMap::new(),
+            }
+        );
+    }
+
+    #[test]
+    fn system_principal_local_state_is_borrowed() {
+        let a = Principal::new("A");
+        let mut g = GlobalState::default();
+        let mut s = LocalState::with_keys([Key::new("Ka")]);
+        s.history.push(Action::receive(nonce("X")));
+        g.locals.insert(a.clone(), s);
+        let view = g.local(&a);
+        let Cow::Borrowed(borrowed) = view else {
+            panic!("a system principal's local state was copied");
+        };
+        assert!(std::ptr::eq(borrowed, &g.locals[&a]));
     }
 
     #[test]

@@ -292,7 +292,7 @@ pub fn parse_trace(input: &str) -> Result<(Run, Symbols), TraceError> {
         }
     }
     let run = builder
-        .build()
+        .finish()
         .map_err(|e: ModelError| err(0, e.to_string()))?;
     Ok((run, syms))
 }
@@ -365,7 +365,7 @@ impl TraceFeed {
     /// prefix that has not reached time 0 — exactly the prefixes
     /// [`parse_trace`] rejects too).
     pub fn try_build(&self) -> Option<Run> {
-        self.builder.clone()?.build().ok()
+        self.builder.clone()?.finish().ok()
     }
 
     /// Feeds one line.
