@@ -55,8 +55,7 @@
 //! SWEEP <id> policy=<p> options=<o> plans=<plan>;<plan>;…
 //!                                  execute a shard of fault plans, one
 //!                                  wire-rendered outcome per plan
-//! HUNT <id> [seed=N] [budget=N] [batch=N]
-//!                                  coverage-guided attack search over the
+//! HUNT <id> <hunt-flags>           coverage-guided attack search over the
 //!                                  session's fault-plan space, bytes of
 //!                                  `atl hunt` (see `crate::hunt`)
 //! STATS                            session/cache counters (fixed 11-line text)
@@ -66,6 +65,12 @@
 //!                                  backpressure and cache counters
 //! SHUTDOWN                         stop accepting and wind down
 //! ```
+//!
+//! `INJECT` and `HUNT` take the flags of `atl inject` and `atl hunt`,
+//! parsed by the same grammar ([`FaultRequest`]), so a malformed flag
+//! gets the CLI's error text. Flags that need the local machine (a spec
+//! path, `--sweep`, `--emit-trace`, `--store`, `--from-monitor` and the
+//! fabric flags) are refused with an `ERR` naming them.
 //!
 //! `SWEEP` is the worker half of the distributed fabric
 //! (`crate::fabric`): plans arrive in the exact [`atl_model::wire`]
@@ -113,8 +118,8 @@
 use crate::annotate::{analyze_at_resumable, AnalysisResume, AtProtocol};
 use crate::enact::{enact, enact_with, EnactOptions};
 use crate::goodruns::{construct_checkpointed_with, resume_construct_with, ConstructionCheckpoint};
-use crate::hunt::{default_space, hunt_report, HuntSettings};
-use crate::inject::{inject_report, InjectRequest};
+use crate::hunt::hunt_report;
+use crate::inject::{inject_report, FaultRequest, FaultVerb, Frontend};
 use crate::metrics::{ExtraMetric, MetricKind, ServeMetrics, Verb};
 use crate::monitor::{Monitor, MonitorStats};
 use crate::parallel::Pool;
@@ -122,11 +127,13 @@ use crate::semantics::{EvalCache, GoodRuns, RewarmStats, Semantics};
 use crate::spec::{canonicalize_spec, parse_spec, SpecDiff};
 use crate::sweep::belief_assumptions;
 use atl_lang::parser::{parse_formula, Symbols};
-use atl_lang::Key;
-use atl_model::wire::{parse_checkpoint, parse_plan_list, render_checkpoint, render_outcome};
+use atl_model::wire::{
+    parse_checkpoint, parse_exec_options, parse_plan_list, parse_policy, render_checkpoint,
+    render_outcome, WireError,
+};
 use atl_model::{
-    execute_with_faults, sweep_plans_on, ExecOptions, ExecutionCache, ExpectPolicy, FaultPlan,
-    HuntConfig, OnTimeout, Point, Protocol, System,
+    execute_with_faults, sweep_plans_on, ExecOptions, ExecutionCache, FaultPlan, Point, Protocol,
+    System,
 };
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -137,7 +144,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -1316,7 +1323,10 @@ fn cmd_inject(state: &Arc<ServerState>, rest: &str) -> Response {
         return hit;
     }
 
-    let (resp, exec_hit) = match parse_plan_flags(flags_text) {
+    let tokens = flags_text.split_whitespace();
+    let parsed = FaultRequest::parse(FaultVerb::Inject, Frontend::Daemon, tokens)
+        .and_then(|req| req.inject_request());
+    let (resp, exec_hit) = match parsed {
         Err(msg) => (Response::err(msg), false),
         Ok(req) => match inject_report(&session.at, &req, &state.pool, &state.exec_cache) {
             Ok(outcome) => (Response::from_text(&outcome.report), outcome.cache_hit),
@@ -1334,201 +1344,6 @@ fn cmd_inject(state: &Arc<ServerState>, rest: &str) -> Response {
         store.stats.inject_exec_hits += 1;
     }
     resp
-}
-
-/// Parses the single-plan fault flags `INJECT` accepts — the same
-/// surface as non-sweep `atl inject` (no `--sweep`, no `--emit-trace`:
-/// the daemon neither grids nor writes files).
-fn parse_plan_flags(text: &str) -> Result<InjectRequest, String> {
-    let tokens: Vec<&str> = text.split_whitespace().collect();
-    let mut seed: u64 = 0;
-    let (mut drop, mut dup, mut delay, mut reorder, mut replay) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    let mut delay_rounds: u32 = 2;
-    let mut compromises: Vec<(Key, i64)> = Vec::new();
-    let mut patience: u32 = 6;
-    let mut retries: u32 = 2;
-    let mut public = false;
-    let mut it = tokens.iter();
-    let need = |it: &mut std::slice::Iter<'_, &str>, flag: &str| -> Result<String, String> {
-        it.next()
-            .map(|s| (*s).to_string())
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(tok) = it.next() {
-        match *tok {
-            "--seed" => {
-                seed = need(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--drop" => {
-                drop = need(&mut it, "--drop")?
-                    .parse()
-                    .map_err(|e| format!("--drop: {e}"))?;
-            }
-            "--dup" => {
-                dup = need(&mut it, "--dup")?
-                    .parse()
-                    .map_err(|e| format!("--dup: {e}"))?;
-            }
-            "--delay" => {
-                let v = need(&mut it, "--delay")?;
-                let (p, r) = match v.split_once(':') {
-                    Some((p, r)) => (
-                        p.to_string(),
-                        r.parse().map_err(|e| format!("--delay rounds: {e}"))?,
-                    ),
-                    None => (v, 2),
-                };
-                delay = p.parse().map_err(|e| format!("--delay: {e}"))?;
-                delay_rounds = r;
-            }
-            "--reorder" => {
-                reorder = need(&mut it, "--reorder")?
-                    .parse()
-                    .map_err(|e| format!("--reorder: {e}"))?;
-            }
-            "--replay" => {
-                replay = need(&mut it, "--replay")?
-                    .parse()
-                    .map_err(|e| format!("--replay: {e}"))?;
-            }
-            "--compromise" => {
-                let v = need(&mut it, "--compromise")?;
-                let (key, t) = v
-                    .split_once('@')
-                    .ok_or("--compromise takes KEY@TIME, e.g. Kab@2")?;
-                compromises.push((
-                    Key::new(key),
-                    t.parse().map_err(|e| format!("--compromise time: {e}"))?,
-                ));
-            }
-            "--patience" => {
-                patience = need(&mut it, "--patience")?
-                    .parse()
-                    .map_err(|e| format!("--patience: {e}"))?;
-            }
-            "--retries" => {
-                retries = need(&mut it, "--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?;
-            }
-            "--public" => public = true,
-            other => {
-                return Err(format!(
-                "unknown inject flag {other:?} (serve-mode inject takes single-plan fault flags)"
-            ))
-            }
-        }
-    }
-    let mut plan = FaultPlan::new(seed)
-        .drop(drop)
-        .duplicate(dup)
-        .delay(delay, delay_rounds)
-        .reorder(reorder)
-        .replay(replay);
-    plan.compromises = compromises;
-    let policy = if retries > 0 {
-        ExpectPolicy::resend_after(patience, retries)
-    } else {
-        ExpectPolicy::skip_after(patience)
-    };
-    Ok(InjectRequest {
-        plan,
-        policy,
-        options: ExecOptions {
-            public_channel: public,
-            ..ExecOptions::default()
-        },
-    })
-}
-
-/// Renders an [`ExpectPolicy`] for the `SWEEP` request line:
-/// `<patience|->:<stall|skip|resend:<retries>>`.
-pub(crate) fn render_policy(policy: &ExpectPolicy) -> String {
-    let patience = match policy.patience {
-        Some(p) => p.to_string(),
-        None => "-".to_string(),
-    };
-    let timeout = match policy.on_timeout {
-        OnTimeout::Stall => "stall".to_string(),
-        OnTimeout::Skip => "skip".to_string(),
-        OnTimeout::Resend { max_retries } => format!("resend:{max_retries}"),
-    };
-    format!("{patience}:{timeout}")
-}
-
-fn parse_policy(text: &str) -> Result<ExpectPolicy, String> {
-    let (patience, timeout) = text
-        .split_once(':')
-        .ok_or_else(|| format!("bad policy {text:?}"))?;
-    let patience = match patience {
-        "-" => None,
-        p => Some(p.parse().map_err(|e| format!("policy patience: {e}"))?),
-    };
-    let on_timeout = match timeout {
-        "stall" => OnTimeout::Stall,
-        "skip" => OnTimeout::Skip,
-        resend => match resend.split_once(':') {
-            Some(("resend", r)) => OnTimeout::Resend {
-                max_retries: r.parse().map_err(|e| format!("policy retries: {e}"))?,
-            },
-            _ => return Err(format!("bad policy timeout {timeout:?}")),
-        },
-    };
-    Ok(ExpectPolicy {
-        patience,
-        on_timeout,
-    })
-}
-
-/// Renders [`ExecOptions`] for the `SWEEP` request line:
-/// `<start-time>:<0|1 public>:<schedule csv|->`.
-pub(crate) fn render_exec_options(options: &ExecOptions) -> String {
-    let schedule = if options.schedule.is_empty() {
-        "-".to_string()
-    } else {
-        options
-            .schedule
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!(
-        "{}:{}:{}",
-        options.start_time,
-        u8::from(options.public_channel),
-        schedule
-    )
-}
-
-fn parse_exec_options(text: &str) -> Result<ExecOptions, String> {
-    let mut parts = text.split(':');
-    let (Some(start), Some(public), Some(schedule), None) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Err(format!("bad options {text:?}"));
-    };
-    let schedule = if schedule == "-" {
-        Vec::new()
-    } else {
-        schedule
-            .split(',')
-            .map(|s| s.parse().map_err(|e| format!("options schedule: {e}")))
-            .collect::<Result<Vec<usize>, String>>()?
-    };
-    Ok(ExecOptions {
-        start_time: start
-            .parse()
-            .map_err(|e| format!("options start time: {e}"))?,
-        public_channel: match public {
-            "0" => false,
-            "1" => true,
-            other => return Err(format!("options public flag {other:?} is not 0/1")),
-        },
-        schedule,
-    })
 }
 
 /// `SWEEP <id> policy=<p> options=<o> plans=<plan>;<plan>;…` — the
@@ -1561,9 +1376,9 @@ fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
         let parsed = match field {
             "policy" => parse_policy(value).map(|p| policy = Some(p)),
             "options" => parse_exec_options(value).map(|o| options = Some(o)),
-            other => Err(format!("unknown SWEEP field {other:?}")),
+            other => Err(WireError(format!("unknown SWEEP field {other:?}"))),
         };
-        if let Err(msg) = parsed {
+        if let Err(WireError(msg)) = parsed {
             return Response::err(msg);
         }
     }
@@ -1603,54 +1418,30 @@ fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
     Response { ok: true, lines }
 }
 
-/// `HUNT <id> [seed=N] [budget=N] [batch=N]` — run the coverage-guided
-/// attack search (`crate::hunt`) against a warmed session. The fuzzer's
-/// mutation space is derived from the session's protocol keys
-/// ([`default_space`]), executions ride the server-global
+/// `HUNT <id> [hunt flags]` — run the coverage-guided attack search
+/// (`crate::hunt`) against a warmed session. The flags are those of
+/// `atl hunt` ([`FaultRequest`]) minus the local-only `--store` and
+/// `--from-monitor`; executions ride the server-global
 /// [`ExecutionCache`] (so a repeated `HUNT`, or one overlapping a
 /// `SWEEP`, re-executes nothing it has already seen), and the response
-/// is the deterministic report `atl hunt` would print for the same
-/// seed and budget.
+/// is the deterministic report `atl hunt` prints for the same flags.
 fn cmd_hunt(state: &Arc<ServerState>, rest: &str) -> Response {
     let (id_text, rest) = match rest.split_once(char::is_whitespace) {
-        Some((id, rest)) => (id, rest.trim()),
+        Some((id, rest)) => (id, rest),
         None => (rest, ""),
     };
     if id_text.is_empty() {
-        return Response::err("HUNT takes <session-id> [seed=N] [budget=N] [batch=N]");
+        return Response::err("HUNT takes <session-id> [hunt flags]");
     }
     let session = match state.session(id_text) {
         Ok(s) => s,
         Err(e) => return e,
     };
-    let (mut seed, mut budget, mut batch) = (0u64, 256usize, 32usize);
-    for token in rest.split_whitespace() {
-        let Some((field, value)) = token.split_once('=') else {
-            return Response::err(format!("bad HUNT field {token:?}"));
+    let settings =
+        match FaultRequest::parse(FaultVerb::Hunt, Frontend::Daemon, rest.split_whitespace()) {
+            Ok(req) => req.hunt_settings(&session.at),
+            Err(msg) => return Response::err(msg),
         };
-        let parsed = match field {
-            "seed" => value.parse().map(|v| seed = v).map_err(|e| e.to_string()),
-            "budget" => value.parse().map(|v| budget = v).map_err(|e| e.to_string()),
-            "batch" => value
-                .parse()
-                .map(|v: usize| batch = v.max(1))
-                .map_err(|e| e.to_string()),
-            other => Err(format!("unknown HUNT field {other:?}")),
-        };
-        if let Err(msg) = parsed {
-            return Response::err(format!("bad HUNT {field}: {msg}"));
-        }
-    }
-    let settings = HuntSettings {
-        config: HuntConfig {
-            seed,
-            budget,
-            batch,
-            space: default_space(&session.at),
-            seed_plans: Vec::new(),
-        },
-        ..HuntSettings::default()
-    };
     let report = hunt_report(&session.at, &settings, &state.pool, &state.exec_cache, None);
     let (executed, classes) = (
         report.outcome.stats.executed as u64,
@@ -1689,10 +1480,12 @@ fn cmd_monitor(state: &Arc<ServerState>, rest: &str) -> Response {
         Err(e) => return Response::err(e.diagnostic("monitor")),
     };
     let count = monitor.formula_count();
-    let monitor = Arc::new(Mutex::new(monitor));
-    state.monitors().sessions.insert(id, Arc::clone(&monitor));
-    state.store().stats.monitors += 1;
     persist_monitor(state, id, &monitor);
+    state
+        .monitors()
+        .sessions
+        .insert(id, Arc::new(Mutex::new(monitor)));
+    state.store().stats.monitors += 1;
     Response::from_text(&format!("monitor {id}: watching {count} formula(s)"))
 }
 
@@ -1718,13 +1511,15 @@ fn cmd_event(state: &Arc<ServerState>, rest: &str) -> Response {
     let before = guard.stats();
     let outcome = guard.feed_line(line, &state.pool);
     let after = guard.stats();
+    if outcome.is_ok() {
+        // Checkpoint under the monitor's lock, so concurrent events on
+        // one monitor land their checkpoints in feed order.
+        persist_monitor(state, id, &guard);
+    }
     drop(guard);
     record_monitor_delta(state, before, after);
     match outcome {
-        Ok(lines) => {
-            persist_monitor(state, id, &monitor);
-            Response { ok: true, lines }
-        }
+        Ok(lines) => Response { ok: true, lines },
         Err(e) => Response::err(e.diagnostic("event")),
     }
 }
@@ -1740,19 +1535,19 @@ fn record_monitor_delta(state: &Arc<ServerState>, before: MonitorStats, after: M
 }
 
 /// Checkpoint one monitor into the store directory (tmp-file + rename,
-/// the same crash-safe discipline as the fabric outcome store). A
+/// the same crash-safe discipline as the fabric outcome store). Callers
+/// hold the monitor's lock, and each write gets its own temp file, so
+/// concurrent events never tear a file or reorder checkpoints. A
 /// persistence failure never fails the request: the monitor stays
 /// correct in memory and the next event retries the write.
-fn persist_monitor(state: &Arc<ServerState>, id: u64, monitor: &Arc<Mutex<Monitor>>) {
+fn persist_monitor(state: &ServerState, id: u64, monitor: &Monitor) {
+    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
     let Some(dir) = &state.monitor_store else {
         return;
     };
-    let cp = monitor
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .checkpoint(id);
-    let text = render_checkpoint(&cp);
-    let tmp = dir.join(format!(".tmp-{}-{id}", std::process::id()));
+    let text = render_checkpoint(&monitor.checkpoint(id));
+    let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".tmp-{}-{id}-{n}", std::process::id()));
     let path = dir.join(format!("monitor-{id}"));
     if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &path).is_err() {
         let _ = std::fs::remove_file(&tmp);
@@ -2201,7 +1996,8 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atl_model::PlanFingerprint;
+    use atl_model::wire::{render_exec_options, render_policy};
+    use atl_model::{ExpectPolicy, PlanFingerprint};
 
     fn start_test_server(max_sessions: usize) -> Server {
         Server::start(ServeConfig {
@@ -2307,52 +2103,6 @@ mod tests {
         for p in specs {
             let _ = std::fs::remove_file(p);
         }
-    }
-
-    #[test]
-    fn plan_flags_parse_like_the_cli() {
-        let req = parse_plan_flags("--seed 9 --drop 0.5 --delay 0.25:3 --compromise Kab@2")
-            .expect("valid flags");
-        assert_eq!(req.plan.seed, 9);
-        assert_eq!(req.plan.compromises, vec![(Key::new("Kab"), 2)]);
-        assert!(parse_plan_flags("--sweep").is_err());
-        assert!(parse_plan_flags("--drop").is_err());
-        assert!(parse_plan_flags("--drop nan-ish").is_err());
-    }
-
-    #[test]
-    fn policy_and_options_render_parse_round_trip() {
-        for policy in [
-            ExpectPolicy::wait_forever(),
-            ExpectPolicy::skip_after(7),
-            ExpectPolicy::resend_after(3, 2),
-            ExpectPolicy {
-                patience: Some(4),
-                on_timeout: OnTimeout::Stall,
-            },
-        ] {
-            let rendered = render_policy(&policy);
-            assert_eq!(parse_policy(&rendered), Ok(policy), "{rendered}");
-        }
-        assert!(parse_policy("7").is_err());
-        assert!(parse_policy("x:skip").is_err());
-        assert!(parse_policy("3:resend").is_err());
-        for options in [
-            ExecOptions::default(),
-            ExecOptions {
-                start_time: -4,
-                public_channel: true,
-                schedule: vec![1, 0, 1],
-            },
-        ] {
-            let rendered = render_exec_options(&options);
-            let parsed = parse_exec_options(&rendered).expect("options parse");
-            assert_eq!(parsed.start_time, options.start_time, "{rendered}");
-            assert_eq!(parsed.public_channel, options.public_channel);
-            assert_eq!(parsed.schedule, options.schedule);
-        }
-        assert!(parse_exec_options("0:2:-").is_err());
-        assert!(parse_exec_options("0:1").is_err());
     }
 
     #[test]
@@ -3123,6 +2873,50 @@ mod tests {
                 .any(|l| l.starts_with("monitor: 2 session(s), 3 event(s),")),
             "missing resumed monitor counters in:\n{stats}"
         );
+        c.shutdown().expect("shutdown");
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_events_leave_a_whole_checkpoint() {
+        let dir = std::env::temp_dir().join(format!(
+            "atl-serve-unit-{}-monitor-race",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServeConfig {
+            port: 0,
+            pool: Pool::new(1),
+            monitor_store: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let mut c = Client::connect(server.addr()).expect("connect");
+        assert!(c.request("MONITOR B sees X").expect("monitor").ok);
+        let (clients, per_client) = (4, 50);
+        let start = std::sync::Barrier::new(clients);
+        std::thread::scope(|scope| {
+            for k in 0..clients {
+                let (start, addr) = (&start, server.addr());
+                scope.spawn(move || {
+                    let mut c = Client::connect(addr).expect("connect");
+                    start.wait();
+                    for n in 0..per_client {
+                        let resp = c.request(&format!("EVENT 1 # {k}-{n}")).expect("event");
+                        assert!(resp.ok, "{resp:?}");
+                    }
+                });
+            }
+        });
+        let text = std::fs::read_to_string(dir.join("monitor-1")).expect("checkpoint written");
+        let mut lines = parse_checkpoint(&text).expect("checkpoint parses").lines;
+        lines.sort();
+        let mut fed: Vec<String> = (0..clients)
+            .flat_map(|k| (0..per_client).map(move |n| format!("# {k}-{n}")))
+            .collect();
+        fed.sort();
+        assert_eq!(lines, fed);
         c.shutdown().expect("shutdown");
         server.join();
         let _ = std::fs::remove_dir_all(&dir);

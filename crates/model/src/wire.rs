@@ -25,7 +25,9 @@
 //! outcome store treats any [`WireError`] as "discard and recompute".
 
 use crate::error::ModelError;
+use crate::executor::ExecOptions;
 use crate::faults::{AbandonedStep, ExecReport, FaultEvent, FaultKind, FaultPlan};
+use crate::protocol::{ExpectPolicy, OnTimeout};
 use crate::sweep::ExecOutcome;
 use crate::trace::{parse_trace, render_trace};
 use atl_lang::{Key, Principal};
@@ -227,6 +229,99 @@ pub fn parse_plan_list(text: &str) -> Result<Vec<FaultPlan>, WireError> {
         .collect()
 }
 
+/// Renders an [`ExpectPolicy`] for the `SWEEP` request line:
+/// `<patience|->:<stall|skip|resend:<retries>>`.
+pub fn render_policy(policy: &ExpectPolicy) -> String {
+    let patience = match policy.patience {
+        Some(p) => p.to_string(),
+        None => "-".to_string(),
+    };
+    let timeout = match policy.on_timeout {
+        OnTimeout::Stall => "stall".to_string(),
+        OnTimeout::Skip => "skip".to_string(),
+        OnTimeout::Resend { max_retries } => format!("resend:{max_retries}"),
+    };
+    format!("{patience}:{timeout}")
+}
+
+/// Parses the `policy=` field of a `SWEEP` request ([`render_policy`]).
+pub fn parse_policy(text: &str) -> Result<ExpectPolicy, WireError> {
+    let (patience, timeout) = text
+        .split_once(':')
+        .ok_or_else(|| err(format!("bad policy {text:?}")))?;
+    let patience = match patience {
+        "-" => None,
+        p => Some(
+            p.parse()
+                .map_err(|e| err(format!("policy patience: {e}")))?,
+        ),
+    };
+    let on_timeout = match timeout {
+        "stall" => OnTimeout::Stall,
+        "skip" => OnTimeout::Skip,
+        resend => match resend.split_once(':') {
+            Some(("resend", r)) => OnTimeout::Resend {
+                max_retries: r.parse().map_err(|e| err(format!("policy retries: {e}")))?,
+            },
+            _ => return Err(err(format!("bad policy timeout {timeout:?}"))),
+        },
+    };
+    Ok(ExpectPolicy {
+        patience,
+        on_timeout,
+    })
+}
+
+/// Renders [`ExecOptions`] for the `SWEEP` request line:
+/// `<start-time>:<0|1 public>:<schedule csv|->`.
+pub fn render_exec_options(options: &ExecOptions) -> String {
+    let schedule = if options.schedule.is_empty() {
+        "-".to_string()
+    } else {
+        options
+            .schedule
+            .iter()
+            .map(usize::to_string)
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    format!(
+        "{}:{}:{}",
+        options.start_time,
+        u8::from(options.public_channel),
+        schedule
+    )
+}
+
+/// Parses the `options=` field of a `SWEEP` request ([`render_exec_options`]).
+pub fn parse_exec_options(text: &str) -> Result<ExecOptions, WireError> {
+    let mut parts = text.split(':');
+    let (Some(start), Some(public), Some(schedule), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Err(err(format!("bad options {text:?}")));
+    };
+    let schedule = if schedule == "-" {
+        Vec::new()
+    } else {
+        schedule
+            .split(',')
+            .map(|s| s.parse().map_err(|e| err(format!("options schedule: {e}"))))
+            .collect::<Result<Vec<usize>, WireError>>()?
+    };
+    Ok(ExecOptions {
+        start_time: start
+            .parse()
+            .map_err(|e| err(format!("options start time: {e}")))?,
+        public_channel: match public {
+            "0" => false,
+            "1" => true,
+            other => return Err(err(format!("options public flag {other:?} is not 0/1"))),
+        },
+        schedule,
+    })
+}
+
 /// Renders one execution outcome as framed text (every line
 /// newline-terminated). Successful outcomes carry the [`ExecReport`]
 /// fields and the run in trace format with an explicit line count;
@@ -395,9 +490,9 @@ pub struct MonitorCheckpoint {
     pub lines: Vec<String>,
 }
 
-/// FNV-1a over `data` (the checksum the outcome store uses; duplicated
-/// here because the store's copy is private to another crate).
-pub(crate) fn fnv64(data: &[u8]) -> u64 {
+/// FNV-1a 64 over `data`: the checksum framing every on-disk store
+/// (monitor checkpoints, the hunt corpus, the fabric's outcome store).
+pub fn fnv64(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in data {
         hash ^= u64::from(byte);
@@ -499,8 +594,8 @@ pub fn parse_checkpoint(text: &str) -> Result<MonitorCheckpoint, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{execute_with_faults, ExecOptions};
-    use crate::protocol::{ExpectPolicy, Protocol, Role};
+    use crate::executor::execute_with_faults;
+    use crate::protocol::{Protocol, Role};
     use atl_lang::{Message, Nonce};
 
     fn lossy() -> Protocol {
@@ -705,5 +800,40 @@ mod tests {
         for bad in ["", "atl-monitor v2", "atl-monitor v1\nid x name t"] {
             assert!(parse_checkpoint(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn policy_and_options_render_parse_round_trip() {
+        for policy in [
+            ExpectPolicy::wait_forever(),
+            ExpectPolicy::skip_after(7),
+            ExpectPolicy::resend_after(3, 2),
+            ExpectPolicy {
+                patience: Some(4),
+                on_timeout: OnTimeout::Stall,
+            },
+        ] {
+            let rendered = render_policy(&policy);
+            assert_eq!(parse_policy(&rendered), Ok(policy), "{rendered}");
+        }
+        assert!(parse_policy("7").is_err());
+        assert!(parse_policy("x:skip").is_err());
+        assert!(parse_policy("3:resend").is_err());
+        for options in [
+            ExecOptions::default(),
+            ExecOptions {
+                start_time: -4,
+                public_channel: true,
+                schedule: vec![1, 0, 1],
+            },
+        ] {
+            let rendered = render_exec_options(&options);
+            let parsed = parse_exec_options(&rendered).expect("options parse");
+            assert_eq!(parsed.start_time, options.start_time, "{rendered}");
+            assert_eq!(parsed.public_channel, options.public_channel);
+            assert_eq!(parsed.schedule, options.schedule);
+        }
+        assert!(parse_exec_options("0:2:-").is_err());
+        assert!(parse_exec_options("0:1").is_err());
     }
 }

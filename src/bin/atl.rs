@@ -50,13 +50,15 @@
 //!     persisted monitor checkpoint (compromises and replays
 //!     reconstructed from the live prefix). Output is byte-identical at
 //!     every `--jobs` count.
+//!     `inject` and `hunt` reject, by name, a flag their mode would
+//!     ignore; INJECT and HUNT take the same flags and error texts.
 //! atl serve [--port N] [--max-sessions N] [--idle-timeout SECS]
 //!           [--drain SECS] [--conn-workers N] [--queue-depth N]
 //!           [--exec-cache-cap N]
 //!     run the serve-mode daemon: a long-lived loopback TCP server that
 //!     parses each spec once into a warmed session (frozen interner,
 //!     good-run vector, eval caches) and answers
-//!     LOAD/RELOAD/ANALYZE/EVAL/INJECT/SWEEP/STATS/METRICS/SHUTDOWN
+//!     LOAD/RELOAD/ANALYZE/EVAL/INJECT/SWEEP/HUNT/STATS/METRICS/SHUTDOWN
 //!     requests from it. LOAD digests are canonical (comments and
 //!     insignificant whitespace erased), so comment-only twins dedupe
 //!     to one session; `RELOAD <id> <spec>` re-points a live session at
@@ -142,7 +144,7 @@ fn main() -> ExitCode {
         Some("client") => cmd_client(&args[1..]),
         _ => {
             eprintln!(
-                "usage: atl [--jobs N] <analyze SPEC | trace SPEC GOAL | suite | proof NAME | check-run TRACE | eval TRACE FORMULA [TIME] | monitor <TRACE | --stdin> FORMULA... | inject SPEC [FAULT-FLAGS] | hunt SPEC [--seed N] [--budget N] [--batch N] [--steps P,...] [--compromise K@T] [--store DIR] [--from-monitor FILE] | serve [--port N] [--max-sessions N] [--idle-timeout SECS] [--drain SECS] [--conn-workers N] [--queue-depth N] [--exec-cache-cap N] [--store DIR] | client [--port N] REQUEST...>"
+                "usage: atl [--jobs N] <analyze SPEC | trace SPEC GOAL | suite | proof NAME | check-run TRACE | eval TRACE FORMULA [TIME] | monitor <TRACE | --stdin> FORMULA... | inject SPEC [FAULT-FLAGS] | hunt SPEC [HUNT-FLAGS] | serve [--port N] [--max-sessions N] [--idle-timeout SECS] [--drain SECS] [--conn-workers N] [--queue-depth N] [--exec-cache-cap N] [--store DIR] | client [--port N] REQUEST...>"
             );
             return ExitCode::from(2);
         }
@@ -326,224 +328,39 @@ fn cmd_monitor(args: &[String], pool: &Pool) -> Result<bool, Box<dyn std::error:
     Ok(monitor.last_verdicts().iter().all(|v| *v))
 }
 
-/// Parsed flags for `atl inject`. Probability flags accept
-/// comma-separated step lists, which only `--sweep` may use; without it
-/// each must be a single value.
-struct InjectFlags {
-    path: Option<String>,
-    sweep: bool,
-    seed: u64,
-    seeds: u64,
-    drop: Vec<f64>,
-    dup: Vec<f64>,
-    delay: Vec<f64>,
-    delay_rounds: u32,
-    reorder: Vec<f64>,
-    replay: Vec<f64>,
-    compromises: Vec<(Key, i64)>,
-    patience: u32,
-    retries: u32,
-    public: bool,
-    emit_trace: Option<String>,
-    /// Fabric flags (sweep only): worker daemon addresses and the
-    /// persistent outcome store.
-    workers: Vec<String>,
-    store: Option<String>,
-    shard: usize,
-    deadline_ms: u64,
-    shard_retries: u32,
-    worker_failures: u32,
-    backoff_ms: u64,
-}
-
-impl InjectFlags {
-    /// The single fault plan of a non-sweep invocation.
-    fn plan(&self) -> Result<atl::model::FaultPlan, Box<dyn std::error::Error>> {
-        let one = |name: &str, steps: &[f64]| -> Result<f64, Box<dyn std::error::Error>> {
-            match steps {
-                [] => Ok(0.0),
-                [p] => Ok(*p),
-                _ => Err(format!("{name} lists multiple steps; use --sweep to grid them").into()),
-            }
-        };
-        let mut plan = atl::model::FaultPlan::new(self.seed)
-            .drop(one("--drop", &self.drop)?)
-            .duplicate(one("--dup", &self.dup)?)
-            .delay(one("--delay", &self.delay)?, self.delay_rounds)
-            .reorder(one("--reorder", &self.reorder)?)
-            .replay(one("--replay", &self.replay)?);
-        plan.compromises = self.compromises.clone();
-        Ok(plan)
-    }
-
-    /// The plan grid of a `--sweep` invocation: `--seeds N` seeds
-    /// starting at `--seed`, the cartesian product of every step list,
-    /// and (when keys are compromised) both the clean and the
-    /// compromised schedule.
-    fn grid(&self) -> atl::model::SweepGrid {
-        let mut grid = atl::model::SweepGrid::new()
-            .seeds(self.seed..self.seed.saturating_add(self.seeds))
-            .drop_steps(self.drop.iter().copied())
-            .duplicate_steps(self.dup.iter().copied())
-            .delay_steps(self.delay.iter().copied(), self.delay_rounds)
-            .reorder_steps(self.reorder.iter().copied())
-            .replay_steps(self.replay.iter().copied());
-        if !self.compromises.is_empty() {
-            grid = grid
-                .compromise_choice([])
-                .compromise_choice(self.compromises.iter().cloned());
-        }
-        grid
-    }
-}
-
-fn parse_inject_flags(args: &[String]) -> Result<InjectFlags, Box<dyn std::error::Error>> {
-    let mut flags = InjectFlags {
-        path: None,
-        sweep: false,
-        seed: 0,
-        seeds: 4,
-        drop: Vec::new(),
-        dup: Vec::new(),
-        delay: Vec::new(),
-        delay_rounds: 2,
-        reorder: Vec::new(),
-        replay: Vec::new(),
-        compromises: Vec::new(),
-        patience: 6,
-        retries: 2,
-        public: false,
-        emit_trace: None,
-        workers: Vec::new(),
-        store: None,
-        shard: 16,
-        deadline_ms: 30_000,
-        shard_retries: 3,
-        worker_failures: 3,
-        backoff_ms: 50,
-    };
-    fn need<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {
-        it.next()
-            .map(String::as_str)
-            .ok_or_else(|| format!("{flag} needs a value"))
-    }
-    fn steps(v: &str) -> Result<Vec<f64>, std::num::ParseFloatError> {
-        v.split(',').map(str::parse).collect()
-    }
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--sweep" => flags.sweep = true,
-            "--seed" => flags.seed = need(&mut it, "--seed")?.parse()?,
-            "--seeds" => flags.seeds = need(&mut it, "--seeds")?.parse()?,
-            "--drop" => flags.drop = steps(need(&mut it, "--drop")?)?,
-            "--dup" => flags.dup = steps(need(&mut it, "--dup")?)?,
-            "--delay" => {
-                let v = need(&mut it, "--delay")?;
-                let (p, rounds) = match v.split_once(':') {
-                    Some((p, r)) => (p, r.parse()?),
-                    None => (v, 2),
-                };
-                flags.delay = steps(p)?;
-                flags.delay_rounds = rounds;
-            }
-            "--reorder" => flags.reorder = steps(need(&mut it, "--reorder")?)?,
-            "--replay" => flags.replay = steps(need(&mut it, "--replay")?)?,
-            "--compromise" => {
-                let v = need(&mut it, "--compromise")?;
-                let (key, t) = v
-                    .split_once('@')
-                    .ok_or("--compromise takes KEY@TIME, e.g. Kab@2")?;
-                flags.compromises.push((Key::new(key), t.parse()?));
-            }
-            "--patience" => flags.patience = need(&mut it, "--patience")?.parse()?,
-            "--retries" => flags.retries = need(&mut it, "--retries")?.parse()?,
-            "--public" => flags.public = true,
-            "--emit-trace" => flags.emit_trace = Some(need(&mut it, "--emit-trace")?.to_string()),
-            "--workers" => {
-                flags.workers = need(&mut it, "--workers")?
-                    .split(',')
-                    .filter(|w| !w.is_empty())
-                    .map(str::to_string)
-                    .collect();
-            }
-            "--store" => flags.store = Some(need(&mut it, "--store")?.to_string()),
-            "--shard" => flags.shard = need(&mut it, "--shard")?.parse()?,
-            "--deadline-ms" => flags.deadline_ms = need(&mut it, "--deadline-ms")?.parse()?,
-            "--shard-retries" => flags.shard_retries = need(&mut it, "--shard-retries")?.parse()?,
-            "--worker-failures" => {
-                flags.worker_failures = need(&mut it, "--worker-failures")?.parse()?;
-            }
-            "--backoff-ms" => flags.backoff_ms = need(&mut it, "--backoff-ms")?.parse()?,
-            other if !other.starts_with("--") && flags.path.is_none() => {
-                flags.path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown flag {other}").into()),
-        }
-    }
-    Ok(flags)
-}
-
 fn cmd_inject(args: &[String], pool: &Pool) -> Result<bool, Box<dyn std::error::Error>> {
-    use atl::core::inject::{inject_report, InjectRequest};
-    use atl::model::{ExecOptions, ExecutionCache, ExpectPolicy};
+    use atl::core::inject::{inject_report, FaultRequest, FaultVerb, Frontend};
+    use atl::model::ExecutionCache;
 
-    let flags = parse_inject_flags(args)?;
-    let (at, _syms) = parse_spec_diag(flags.path.as_ref())?;
-    let policy = if flags.retries > 0 {
-        ExpectPolicy::resend_after(flags.patience, flags.retries)
-    } else {
-        ExpectPolicy::skip_after(flags.patience)
-    };
-    let opts = ExecOptions {
-        public_channel: flags.public,
-        ..ExecOptions::default()
-    };
-
-    if flags.sweep {
+    let req = FaultRequest::parse(FaultVerb::Inject, Frontend::Cli, args)?;
+    let (at, _syms) = parse_spec_diag(req.path.as_ref())?;
+    if req.sweep {
         use atl::core::sweep::{fault_sweep, SweepConfig};
         let config = SweepConfig {
-            grid: flags.grid(),
-            options: opts,
-            expect_policy: policy,
+            grid: req.grid(),
+            options: req.options(),
+            expect_policy: req.policy(),
         };
-        if !flags.workers.is_empty() || flags.store.is_some() {
-            use atl::core::fabric::{fabric_sweep, FabricConfig};
-            use std::time::Duration;
-            let fabric = FabricConfig {
-                workers: flags.workers.clone(),
-                store: flags.store.as_ref().map(std::path::PathBuf::from),
-                shard_plans: flags.shard.max(1),
-                deadline: Duration::from_millis(flags.deadline_ms.max(1)),
-                shard_retries: flags.shard_retries,
-                worker_failures: flags.worker_failures,
-                backoff: Duration::from_millis(flags.backoff_ms),
-            };
-            let spec_path = flags.path.as_ref().expect("spec parsed above");
-            let (report, fabric_stats) = fabric_sweep(&at, spec_path, &config, &fabric, pool)?;
-            eprintln!("{fabric_stats}");
-            print!("{report}");
-            return Ok(report.all_executed() && report.audit_violations == 0);
-        }
-        let report = fault_sweep(&at, &config, pool);
+        let report = match req.fabric() {
+            Some(fabric) => {
+                let spec_path = req.path.as_ref().expect("spec parsed above");
+                let (report, fabric_stats) =
+                    atl::core::fabric::fabric_sweep(&at, spec_path, &config, &fabric, pool)?;
+                eprintln!("{fabric_stats}");
+                report
+            }
+            None => fault_sweep(&at, &config, pool),
+        };
         print!("{report}");
         return Ok(report.all_executed() && report.audit_violations == 0);
-    }
-    if !flags.workers.is_empty() || flags.store.is_some() {
-        return Err("--workers/--store require --sweep".into());
     }
 
     // The single-plan report is shared with the serve daemon
     // (`atl_core::inject`); a one-shot invocation passes a fresh
     // execution cache.
-    let req = InjectRequest {
-        plan: flags.plan()?,
-        policy,
-        options: opts,
-    };
-    let outcome = inject_report(&at, &req, pool, &ExecutionCache::new())?;
+    let outcome = inject_report(&at, &req.inject_request()?, pool, &ExecutionCache::new())?;
     print!("{}", outcome.report);
-    if let Some(path) = &flags.emit_trace {
+    if let Some(path) = &req.emit_trace {
         std::fs::write(path, atl::model::render_trace(&outcome.run))?;
         println!("trace written to {path}");
     }
@@ -556,97 +373,17 @@ fn cmd_inject(args: &[String], pool: &Pool) -> Result<bool, Box<dyn std::error::
 /// minimal plan. Exit code 0 when the hunt completes (finding attacks
 /// is the tool doing its job, not a failure).
 fn cmd_hunt(args: &[String], pool: &Pool) -> Result<bool, Box<dyn std::error::Error>> {
-    use atl::core::hunt::{default_space, hunt_report, seeds_from_checkpoint, HuntSettings};
-    use atl::model::{ExecOptions, ExecutionCache, ExpectPolicy, FaultPlan, HuntConfig, HuntStore};
+    use atl::core::hunt::{hunt_report, seeds_from_checkpoint};
+    use atl::core::inject::{FaultRequest, FaultVerb, Frontend};
+    use atl::model::{ExecutionCache, HuntStore};
 
-    let mut path: Option<String> = None;
-    let mut seed: u64 = 0;
-    let mut budget: usize = 256;
-    let mut batch: usize = 32;
-    let mut steps: Option<Vec<f64>> = None;
-    let mut compromises: Vec<(Key, i64)> = Vec::new();
-    let mut store_dir: Option<String> = None;
-    let mut from_monitor: Option<String> = None;
-    let mut patience: u32 = 6;
-    let mut retries: u32 = 2;
-    let mut public = false;
-    fn need<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {
-        it.next()
-            .map(String::as_str)
-            .ok_or_else(|| format!("{flag} needs a value"))
+    let req = FaultRequest::parse(FaultVerb::Hunt, Frontend::Cli, args)?;
+    let (at, _syms) = parse_spec_diag(req.path.as_ref())?;
+    let mut settings = req.hunt_settings(&at);
+    if let Some(file) = &req.from_monitor {
+        settings.config.seed_plans = seeds_from_checkpoint(&std::fs::read_to_string(file)?)?;
     }
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => seed = need(&mut it, "--seed")?.parse()?,
-            "--budget" => budget = need(&mut it, "--budget")?.parse()?,
-            "--batch" => batch = need(&mut it, "--batch")?.parse::<usize>()?.max(1),
-            "--steps" => {
-                let parsed = need(&mut it, "--steps")?
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<Vec<f64>, _>>()?;
-                if let Some(p) = parsed.iter().find(|p| !(0.0..=1.0).contains(*p)) {
-                    return Err(format!("--steps probability {p} is outside [0, 1]").into());
-                }
-                steps = Some(parsed);
-            }
-            "--compromise" => {
-                let v = need(&mut it, "--compromise")?;
-                let (key, t) = v
-                    .split_once('@')
-                    .ok_or("--compromise takes KEY@TIME, e.g. Kab@2")?;
-                compromises.push((Key::new(key), t.parse()?));
-            }
-            "--store" => store_dir = Some(need(&mut it, "--store")?.to_string()),
-            "--from-monitor" => {
-                from_monitor = Some(need(&mut it, "--from-monitor")?.to_string());
-            }
-            "--patience" => patience = need(&mut it, "--patience")?.parse()?,
-            "--retries" => retries = need(&mut it, "--retries")?.parse()?,
-            "--public" => public = true,
-            other if !other.starts_with("--") && path.is_none() => {
-                path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown hunt flag {other}").into()),
-        }
-    }
-    let (at, _syms) = parse_spec_diag(path.as_ref())?;
-    let mut space = default_space(&at);
-    if let Some(steps) = steps {
-        space.prob_steps = steps;
-    }
-    for (key, t) in compromises {
-        if !space.compromise_candidates.contains(&(key.clone(), t)) {
-            space = space.candidate(key, t);
-        }
-    }
-    let seed_plans: Vec<FaultPlan> = match &from_monitor {
-        Some(file) => seeds_from_checkpoint(&std::fs::read_to_string(file)?)?,
-        None => Vec::new(),
-    };
-    let settings = HuntSettings {
-        config: HuntConfig {
-            seed,
-            budget,
-            batch,
-            space,
-            seed_plans,
-        },
-        options: ExecOptions {
-            public_channel: public,
-            ..ExecOptions::default()
-        },
-        expect_policy: if retries > 0 {
-            ExpectPolicy::resend_after(patience, retries)
-        } else {
-            ExpectPolicy::skip_after(patience)
-        },
-    };
-    let store = match &store_dir {
-        Some(dir) => Some(HuntStore::open(dir)?),
-        None => None,
-    };
+    let store = req.store.clone().map(HuntStore::open).transpose()?;
     let report = hunt_report(&at, &settings, pool, &ExecutionCache::new(), store.as_ref());
     print!("{report}");
     Ok(true)

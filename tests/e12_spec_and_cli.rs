@@ -103,6 +103,43 @@ fn cli_analyze_exit_codes() {
     assert_eq!(bad_usage.status.code(), Some(2));
 }
 
+/// `atl inject` refuses a flag its mode would silently ignore, naming
+/// the flag, and runs nothing.
+#[test]
+fn cli_inject_rejects_flags_its_mode_ignores() {
+    use std::process::Command;
+    let bin = env!("CARGO_BIN_EXE_atl");
+    let spec = format!("{}/specs/kerberos_figure1.atl", env!("CARGO_MANIFEST_DIR"));
+    let trace = std::env::temp_dir().join(format!("atl-e12-{}-sweep.run", std::process::id()));
+    let trace_arg = trace.to_str().expect("utf-8 temp path");
+    let _ = std::fs::remove_file(&trace);
+    for (flags, want) in [
+        (
+            &["--seed", "7", "--drop", "0.5", "--seeds", "10"][..],
+            "error: --seeds does not apply to inject without --sweep\n",
+        ),
+        (
+            &["--sweep", "--drop", "0,1", "--emit-trace", trace_arg][..],
+            "error: --emit-trace does not apply to inject --sweep\n",
+        ),
+        (
+            &["--budget", "5"][..],
+            "error: --budget does not apply to inject\n",
+        ),
+    ] {
+        let out = Command::new(bin)
+            .arg("inject")
+            .arg(&spec)
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{flags:?}");
+        assert!(out.stdout.is_empty(), "{flags:?} ran anyway");
+    }
+    assert!(!trace.exists(), "a rejected sweep wrote its trace");
+}
+
 #[test]
 fn cli_trace_and_proof() {
     use std::process::Command;

@@ -136,8 +136,9 @@ fn temp_spec(tag: &str, content: &str) -> std::path::PathBuf {
     path
 }
 
-/// `ANALYZE` and `INJECT` answers are byte-identical to the one-shot
-/// CLI's stdout, at one worker and at two — on every committed spec.
+/// `ANALYZE`, `INJECT` and `HUNT` answers are byte-identical to the
+/// one-shot CLI's stdout, at one worker and at two — on every committed
+/// spec.
 #[test]
 fn analyze_and_inject_bytes_match_the_one_shot_cli() {
     let analyses: Vec<(String, String)> = SPEC_NAMES
@@ -155,20 +156,43 @@ fn analyze_and_inject_bytes_match_the_one_shot_cli() {
             "--seed 3 --replay 1 --compromise Kab@2",
         ),
     ];
-    let injects: Vec<(String, &str, String)> = INJECTS
-        .iter()
-        .map(|(name, flags)| {
-            let path = spec_path(name);
-            let mut args = vec!["inject", path.as_str()];
-            args.extend(flags.split_whitespace());
-            let out = cli_stdout(&args);
-            (path, *flags, out)
-        })
-        .collect();
+    // One spec per hunt: the daemon's execution cache is global, and a
+    // cache hit shows in the report's accounting line.
+    const HUNTS: &[(&str, &str)] = &[
+        ("needham_schroeder", "--seed 7 --budget 48 --batch 8"),
+        (
+            "kerberos_figure1",
+            "--seed 3 --budget 32 --steps 0,1 --compromise Kab@2",
+        ),
+        ("andrew_flawed", "--seed 1 --budget 32 --retries 0"),
+    ];
+    let cli_rows = |verb: &'static str, rows: &'static [(&str, &str)]| {
+        rows.iter()
+            .map(|(name, flags)| {
+                let path = spec_path(name);
+                let mut args = vec![verb, path.as_str()];
+                args.extend(flags.split_whitespace());
+                let out = cli_stdout(&args);
+                (path, *flags, out)
+            })
+            .collect::<Vec<(String, &str, String)>>()
+    };
+    let injects = cli_rows("inject", INJECTS);
+    let hunts = cli_rows("hunt", HUNTS);
 
     for &jobs in &[1usize, 2] {
         let server = start(jobs, 8);
         let mut c = client(&server);
+        for (path, flags, want) in &hunts {
+            let id = c.load(path).expect("load spec");
+            let resp = c.request(&format!("HUNT {id} {flags}")).expect("hunt");
+            assert!(resp.ok, "{path}: {resp:?}");
+            assert_eq!(
+                resp.payload(),
+                *want,
+                "{path}: HUNT {flags} differs from `atl hunt` at {jobs} job(s)"
+            );
+        }
         for (path, want) in &analyses {
             let id = c.load(path).expect("load spec");
             let resp = c.request(&format!("ANALYZE {id}")).expect("analyze");
@@ -191,6 +215,65 @@ fn analyze_and_inject_bytes_match_the_one_shot_cli() {
         }
         stop(server, &mut c);
     }
+}
+
+/// A malformed fault-flag string fails with one message on both
+/// frontends: the daemon's `ERR` text is the CLI's stderr after
+/// `error: `. Flags that need the local machine are refused by the
+/// daemon by name.
+#[test]
+fn malformed_fault_flags_fail_alike_on_cli_and_wire() {
+    const MALFORMED: &[(&str, &str)] = &[
+        ("inject", "--seed"),
+        ("inject", "--seed 7 --drop 0.x"),
+        ("hunt", "--compromise Kab"),
+        ("hunt", "--compromise Kab@later"),
+        ("inject", "--frobnicate 1"),
+        ("hunt", "--budget 8 --emit-trace out.run"),
+        ("inject", "--store fabric-store"),
+        ("inject", "--seeds 10"),
+        ("hunt", "--steps 0,2"),
+        ("inject", "--drop 0,0.5"),
+    ];
+    let path = spec_path("kerberos_figure1");
+    let server = start(1, 2);
+    let mut c = client(&server);
+    let id = c.load(&path).expect("load spec");
+    for (verb, flags) in MALFORMED {
+        let out = Command::new(env!("CARGO_BIN_EXE_atl"))
+            .args([verb, &path.as_str()])
+            .args(flags.split_whitespace())
+            .output()
+            .expect("run the atl binary");
+        assert_eq!(out.status.code(), Some(2), "atl {verb} {flags}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        let cli = stderr
+            .strip_prefix("error: ")
+            .and_then(|e| e.strip_suffix('\n'))
+            .unwrap_or_else(|| panic!("atl {verb} {flags}: stderr {stderr:?}"));
+        let resp = c
+            .request(&format!("{} {id} {flags}", verb.to_uppercase()))
+            .expect("response");
+        assert_eq!(resp.err_message(), Some(cli), "{verb} {flags}");
+    }
+    for (request, flag) in [
+        (format!("INJECT {id} --sweep --drop 0,1"), "--sweep"),
+        (format!("INJECT {id} --emit-trace out.run"), "--emit-trace"),
+        (format!("HUNT {id} --store hunt-store"), "--store"),
+        (
+            format!("HUNT {id} --from-monitor monitor-1"),
+            "--from-monitor",
+        ),
+        (format!("INJECT {id} {path}"), path.as_str()),
+    ] {
+        let resp = c.request(&request).expect("response");
+        let msg = resp.err_message().expect("local-only request refused");
+        assert!(
+            msg.contains(flag) && msg.contains("needs the local machine"),
+            "{request}: {msg}"
+        );
+    }
+    stop(server, &mut c);
 }
 
 /// `EVAL` agrees with a fresh library evaluator at *every point* of
@@ -345,7 +428,7 @@ fn hunt_matches_the_cli_and_repeats_from_the_warm_cache() {
     let mut c = client(&server);
     let path = spec_path("needham_schroeder");
     let id = c.load(&path).expect("load");
-    let query = format!("HUNT {id} seed=7 budget=48 batch=8");
+    let query = format!("HUNT {id} --seed 7 --budget 48 --batch 8");
     let first = c.request(&query).expect("hunt");
     assert!(first.ok, "HUNT answers OK: {:?}", first.lines);
     let cli = cli_stdout(&[
